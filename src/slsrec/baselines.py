@@ -1,24 +1,41 @@
-"""Comparison methods: keyword bag-of-words, whole-text embedding, and an
-intent-summary-only variant that skips attribute pruning entirely.
+"""The evaluated methods: SlsReuse itself and three comparison methods,
+keyword bag-of-words, whole-text embedding, and an intent-summary-only
+variant that skips attribute pruning entirely.
 
-All three share the ranking tie rule (descending score, then ascending
-function id) so results stay deterministic under deterministic providers.
+`METHODS` maps each method name to how it prepares a query and ranks it;
+`method_runner` turns one entry into the runner `run_evaluation` drives.
+Every method ranks through `matching.top_k`, so all share the tie rule
+(descending score, then ascending function id) and stay deterministic
+under deterministic providers.
 """
 
 import time
 from collections import Counter
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .corpus import Repository
 from .embedding import Embedder, embed_intent
-from .errors import IntegrityError, ValidationError
-from .extraction import ExtractionProvider, SemanticRepresentation, summarize_intent
-from .matching import CandidateSet, Ranking, RecommendResult, cosine_similarity
+from .errors import ValidationError
+from .evaluation import QueryCase, QueryRunner, timed_answer
+from .extraction import (
+    ExtractionProvider,
+    SemanticRepresentation,
+    extract,
+    summarize_intent,
+)
+from .matching import (
+    CandidateSet,
+    Ranking,
+    RecommendResult,
+    cosine_similarity,
+    recommend,
+    score_intents,
+    top_k,
+)
+from .normalization import NormalizationTable
 from .stemming import STOP_WORDS, stem
-
-TokenBag = Counter
 
 
 def _stem_fixpoint(token: str) -> str:
@@ -70,27 +87,11 @@ def rank_token_bag(
 ) -> Ranking:
     """Score = distinct query stems present in the function's bag,
     normalized by the query stem count so scores stay in [0, 1]."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     denominator = max(1, len(query_stems))
     scored = [
-        (fid, len(query_stems & stems) / denominator)
-        for fid, stems in sorted(index.items())
+        (fid, len(query_stems & stems) / denominator) for fid, stems in index.items()
     ]
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
-    return Ranking(query_id, tuple(scored[:k]), k)
-
-
-def keyword_rank(
-    query_text: str,
-    repo: Repository | Mapping[str, frozenset[str]],
-    k: int,
-    query_id: str = "query",
-) -> Ranking:
-    """Bag-of-words baseline over code+readme text."""
-    index = build_keyword_index(repo) if isinstance(repo, Repository) else repo
-    query_stems = frozenset(keyword_preprocess(query_text))
-    return rank_token_bag(query_stems, index, k, query_id)
+    return top_k(query_id, scored, k)
 
 
 def build_document_index(repo: Repository, embedder: Embedder) -> dict[str, np.ndarray]:
@@ -108,27 +109,10 @@ def rank_document_embeddings(
     k: int,
     query_id: str = "query",
 ) -> Ranking:
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     scored = [
-        (fid, cosine_similarity(query_vector, vector))
-        for fid, vector in sorted(index.items())
+        (fid, cosine_similarity(query_vector, vector)) for fid, vector in index.items()
     ]
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
-    return Ranking(query_id, tuple(scored[:k]), k)
-
-
-def embedding_rank(
-    query_text: str,
-    repo: Repository | Mapping[str, np.ndarray],
-    embedder: Embedder,
-    k: int,
-    query_id: str = "query",
-) -> Ranking:
-    """Whole-text embedding baseline: raw query vs whole-document vectors."""
-    index = build_document_index(repo, embedder) if isinstance(repo, Repository) else repo
-    query_vector = embed_intent(query_text, embedder)
-    return rank_document_embeddings(query_vector, index, k, query_id)
+    return top_k(query_id, scored, k)
 
 
 def rank_all_intents(
@@ -138,34 +122,85 @@ def rank_all_intents(
     query_id: str = "query",
 ) -> RecommendResult:
     """Similarity over every stored intent vector, no pruning."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     start = time.perf_counter()
-    scored: list[tuple[str, float]] = []
-    evals = 0
-    for fid in sorted(reps):
-        rep = reps[fid]
-        if rep.intent_vector is None:
-            raise IntegrityError(f"function '{fid}' has no intent vector")
-        scored.append((fid, cosine_similarity(query_vector, rep.intent_vector)))
-        evals += 1
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
+    scored = score_intents(query_vector, reps, reps)
+    ranking = top_k(query_id, scored, k)
     latency_ms = (time.perf_counter() - start) * 1000.0
-    ranking = Ranking(query_id, tuple(scored[:k]), k)
-    return RecommendResult(ranking, CandidateSet(frozenset(reps)), evals, latency_ms)
+    return RecommendResult(ranking, CandidateSet(frozenset(reps)), len(scored), latency_ms)
 
 
-def variant_rank(
-    query_text: str,
-    reps: Mapping[str, SemanticRepresentation],
-    extractor: ExtractionProvider,
-    embedder: Embedder,
+# ---------------------------------------------------------------------------
+# The evaluated methods
+# ---------------------------------------------------------------------------
+
+# Each method builds a (prepare, rank) pair from its inputs: prepare(case)
+# turns the query into what rank(case, prepared) scores. Library functions
+# are looked up by module-global name when called, so rebinding one (as a
+# tracer does) takes effect.
+
+
+def _slsreuse(k, repository, reps, extractor, embedder, table):
+    provider, query_embedder = extractor(), embedder()
+
+    def prepare(case):
+        rep = extract(case.id, case.text, provider, table)
+        return rep.with_vector(embed_intent(rep.intent_text, query_embedder))
+
+    return prepare, lambda case, rep: recommend(rep, reps, k, case.id).ranking
+
+
+def _keyword(k, repository, reps, extractor, embedder, table):
+    index = build_keyword_index(repository)
+    return (
+        lambda case: frozenset(keyword_preprocess(case.text)),
+        lambda case, stems: rank_token_bag(stems, index, k, case.id),
+    )
+
+
+def _embedding(k, repository, reps, extractor, embedder, table):
+    shared = embedder()
+    index = build_document_index(repository, shared)
+    return (
+        lambda case: embed_intent(case.text, shared),
+        lambda case, vector: rank_document_embeddings(vector, index, k, case.id),
+    )
+
+
+def _llm_variant(k, repository, reps, extractor, embedder, table):
+    provider, query_embedder = extractor(), embedder()
+
+    def prepare(case):
+        summary = summarize_intent(case.id, case.text, provider)
+        return embed_intent(summary, query_embedder)
+
+    return prepare, lambda case, vector: rank_all_intents(vector, reps, k, case.id).ranking
+
+
+METHODS = {
+    "slsreuse": _slsreuse,
+    "keyword": _keyword,
+    "embedding": _embedding,
+    "llm-variant": _llm_variant,
+}
+
+
+def method_runner(
+    method: str,
     k: int,
-    query_id: str = "query",
-) -> RecommendResult:
-    """Intent-summary-only method: the query intent comes from an
-    intent-only prompt, then every function's intent vector is scored.
-    The candidate pool is always the whole store."""
-    summary = summarize_intent(query_id, query_text, extractor)
-    query_vector = embed_intent(summary, embedder)
-    return rank_all_intents(query_vector, reps, k, query_id)
+    repository: Repository,
+    reps: Mapping[str, SemanticRepresentation],
+    extractor: Callable[[], ExtractionProvider],
+    embedder: Callable[[], Embedder],
+    table: NormalizationTable,
+) -> QueryRunner:
+    """The evaluation runner for one method, answering each query with its
+    top `k`. `extractor` and `embedder` are factories; a method calls one
+    only if it uses that provider, and gets its own instance."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method '{method}'")
+    prepare, rank = METHODS[method](k, repository, reps, extractor, embedder, table)
+
+    def run(case: QueryCase):
+        return timed_answer(lambda: prepare(case), lambda prepared: rank(case, prepared))
+
+    return run

@@ -14,14 +14,7 @@ from pathlib import Path
 
 import click
 
-from .baselines import (
-    build_document_index,
-    build_keyword_index,
-    keyword_preprocess,
-    rank_all_intents,
-    rank_document_embeddings,
-    rank_token_bag,
-)
+from .baselines import METHODS, method_runner
 from .corpus import ingest_corpus, load, load_filter_config, save
 from .embedding import DeterministicEmbedder, RemoteEmbedder, embed_intent
 from .errors import (
@@ -33,13 +26,7 @@ from .errors import (
     RepositoryFormatError,
     ValidationError,
 )
-from .evaluation import (
-    DEFAULT_KS,
-    EvalReport,
-    load_query_dataset,
-    run_evaluation,
-    timed_answer,
-)
+from .evaluation import DEFAULT_KS, EvalReport, load_query_dataset, run_evaluation
 from .extraction import (
     FixtureExtractionProvider,
     Provenance,
@@ -48,7 +35,6 @@ from .extraction import (
     extract_all,
     load_representations,
     save_representations,
-    summarize_intent,
 )
 from .gateway import GatewayClient, ProviderConfig
 from .matching import recommend
@@ -62,8 +48,6 @@ _INPUT_ERRORS = (
     CorpusIOError,
     RepositoryFormatError,
 )
-
-METHODS = ("slsreuse", "keyword", "embedding", "llm-variant")
 
 
 def handle_errors(func):
@@ -286,52 +270,6 @@ def cmd_query(text, reprs, k, query_id, output, trace, timing, norm_table, **fla
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _slsreuse_runner(reps, provider, table, embedder, kmax):
-    def run(case):
-        def prepare():
-            rep = extract(case.id, case.text, provider, table)
-            return rep.with_vector(embed_intent(rep.intent_text, embedder))
-
-        return timed_answer(
-            prepare, lambda qrep: recommend(qrep, reps, kmax, case.id).ranking
-        )
-
-    return run
-
-
-def _keyword_runner(index, kmax):
-    def run(case):
-        return timed_answer(
-            lambda: frozenset(keyword_preprocess(case.text)),
-            lambda stems: rank_token_bag(stems, index, kmax, case.id),
-        )
-
-    return run
-
-
-def _embedding_runner(index, embedder, kmax):
-    def run(case):
-        return timed_answer(
-            lambda: embed_intent(case.text, embedder),
-            lambda vector: rank_document_embeddings(vector, index, kmax, case.id),
-        )
-
-    return run
-
-
-def _variant_runner(reps, provider, embedder, kmax):
-    def run(case):
-        def prepare():
-            summary = summarize_intent(case.id, case.text, provider)
-            return embed_intent(summary, embedder)
-
-        return timed_answer(
-            prepare, lambda vector: rank_all_intents(vector, reps, kmax, case.id).ranking
-        )
-
-    return run
-
-
 def _render_grid(reports: list[EvalReport], ks) -> str:
     width = max(len(r.method) for r in reports) + 2
     header = "method".ljust(width) + "".join(f"k={k}".rjust(10) for k in ks)
@@ -361,7 +299,7 @@ def _render_grid(reports: list[EvalReport], ks) -> str:
               help="Query dataset (JSONL with id/text/ground_truth_id).")
 @click.option("--repo", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--reprs", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(METHODS + ("all",)), default="slsreuse",
+@click.option("--method", type=click.Choice([*METHODS, "all"]), default="slsreuse",
               show_default=True)
 @click.option("--k", "ks", type=click.IntRange(min=1), multiple=True,
               help="Cutoffs; repeatable. Default: 1 5 10 15 20.")
@@ -384,25 +322,12 @@ def cmd_evaluate(dataset, repo, reprs, method, ks, repetitions, report_path, out
     methods = METHODS if method == "all" else (method,)
     table = _load_table(norm_table)
 
-    def extractor():
-        return _build_extractor(flags)
-
-    def embedder():
-        return _build_embedder(flags)
-
     reports = []
     for name in methods:
-        if name == "slsreuse":
-            runner = _slsreuse_runner(reps, extractor(), table, embedder(), kmax)
-        elif name == "keyword":
-            runner = _keyword_runner(build_keyword_index(repository), kmax)
-        elif name == "embedding":
-            shared = embedder()
-            runner = _embedding_runner(
-                build_document_index(repository, shared), shared, kmax
-            )
-        else:  # llm-variant
-            runner = _variant_runner(reps, extractor(), embedder(), kmax)
+        runner = method_runner(
+            name, kmax, repository, reps,
+            lambda: _build_extractor(flags), lambda: _build_embedder(flags), table,
+        )
         reports.append(
             run_evaluation(name, runner, cases, ks, repetitions, known_ids)
         )

@@ -60,7 +60,8 @@ class SemanticRepresentation:
     def __post_init__(self):
         if self.intent_vector is not None:
             norm = float(np.linalg.norm(self.intent_vector))
-            if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
+            # written so that a NaN norm fails too
+            if not abs(norm - 1.0) <= UNIT_NORM_TOLERANCE:
                 raise ValidationError(
                     f"intent vector of '{self.subject_id}' is not unit-norm "
                     f"(norm={norm!r})"
@@ -481,16 +482,37 @@ def representation_to_dict(rep: SemanticRepresentation) -> dict:
     }
 
 
+def _term_set(row: dict, key: str) -> frozenset[str]:
+    terms = row.get(key, [])
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise ConfigurationError(f"'{key}' must be a list of strings")
+    return frozenset(terms)
+
+
+def _vector(value) -> np.ndarray:
+    try:
+        vector = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"'intent_vector' is not a list of numbers: {exc}") from exc
+    if vector.ndim != 1:
+        raise ConfigurationError(f"'intent_vector' must be 1-D, not {vector.ndim}-D")
+    return vector
+
+
 def representation_from_dict(row: dict) -> SemanticRepresentation:
+    """Inverse of representation_to_dict. Raises ConfigurationError for a
+    row of the wrong shape and ValidationError for invalid values."""
+    if not isinstance(row, dict):
+        raise ConfigurationError("a row must be a JSON object")
     prov = row.get("provenance") or {}
     vector = row.get("intent_vector")
     return SemanticRepresentation(
         subject_id=row["id"],
         intent_text=row["intent_text"],
-        intent_vector=None if vector is None else np.asarray(vector, dtype=float),
-        platforms=frozenset(row.get("platforms", [])),
-        services=frozenset(row.get("services", [])),
-        languages=frozenset(row.get("languages", [])),
+        intent_vector=None if vector is None else _vector(vector),
+        platforms=_term_set(row, "platforms"),
+        services=_term_set(row, "services"),
+        languages=_term_set(row, "languages"),
         provenance=Provenance(
             prov.get("extractor", "unknown"),
             prov.get("model", "unknown"),
@@ -512,12 +534,17 @@ def load_representations(path: str | Path) -> dict[str, SemanticRepresentation]:
     if not path.is_file():
         raise ConfigurationError(f"representation store not found: {path}")
     reps: dict[str, SemanticRepresentation] = {}
+    dims: set[int] = set()
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             rep = representation_from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError) as exc:
+            if rep.intent_vector is not None:
+                dims.add(len(rep.intent_vector))
+                if len(dims) > 1:
+                    raise ConfigurationError(f"intent vectors differ in length: {sorted(dims)}")
+        except (json.JSONDecodeError, KeyError, ConfigurationError, ValidationError) as exc:
             raise ConfigurationError(
                 f"representation store line {line_no} is invalid: {exc}"
             ) from exc

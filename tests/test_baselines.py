@@ -5,16 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slsrec.baselines import (
-    build_keyword_index,
-    embedding_rank,
     keyword_preprocess,
-    keyword_rank,
-    variant_rank,
+    method_runner,
+    rank_all_intents,
+    rank_document_embeddings,
+    rank_token_bag,
 )
 from slsrec.corpus import FunctionUnit, Repository
 from slsrec.embedding import DeterministicEmbedder, embed_intent
-from slsrec.extraction import FixtureExtractionProvider
+from slsrec.errors import ValidationError
+from slsrec.evaluation import QueryCase
+from slsrec.extraction import FixtureExtractionProvider, summarize_intent
 from slsrec.matching import cosine_similarity, recommend
+from slsrec.normalization import NormalizationTable
 from slsrec.stemming import STOP_WORDS
 
 from conftest import GOLDEN_FUNCTIONS, QUERY_ID, QUERY_TEXT
@@ -25,6 +28,40 @@ def make_unit(uid, code, readme=None):
         id=uid, name=uid, origin="test", files=((f"{uid}.py", code),),
         readme_text=readme,
     )
+
+
+def answer(method, text, k, repository=None, embedder=None, reps=None, provider=None,
+           query_id="query"):
+    """The ranking `slsrec evaluate --method <method>` gives one query."""
+    runner = method_runner(
+        method, k, repository, reps, lambda: provider, lambda: embedder,
+        NormalizationTable(),
+    )
+    return runner(QueryCase(query_id, text, "unused")).ranking
+
+
+def variant(text, reps, provider, embedder, k, query_id):
+    """The llm-variant method with its audit data: intent summary,
+    embedding, then similarity over the whole store."""
+    summary = summarize_intent(query_id, text, provider)
+    return rank_all_intents(embed_intent(summary, embedder), reps, k, query_id)
+
+
+def test_method_runner_rejects_unknown_method():
+    with pytest.raises(ValidationError, match="unknown method 'bm25'"):
+        method_runner("bm25", 5, Repository(), {}, None, None, NormalizationTable())
+
+
+def test_rankers_reject_k_below_one(golden_reps, golden_query_rep):
+    vector = golden_query_rep.intent_vector
+    index = {fid: rep.intent_vector for fid, rep in golden_reps.items()}
+    for rank in (
+        lambda: rank_token_bag(frozenset({"imag"}), {"f": frozenset({"imag"})}, 0),
+        lambda: rank_document_embeddings(vector, index, 0),
+        lambda: rank_all_intents(vector, golden_reps, 0),
+    ):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            rank()
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +105,7 @@ def test_preprocess_idempotent_on_rejoined_output(words):
 
 
 # ---------------------------------------------------------------------------
-# keyword_rank
+# keyword method
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -102,33 +139,26 @@ def keyword_repo():
 
 
 def test_keyword_rank_all_tokens_in_one_function(keyword_repo):
-    ranking = keyword_rank("detect labels in uploaded images", keyword_repo, 3)
+    ranking = answer("keyword", "detect labels in uploaded images", 3, keyword_repo)
     assert ranking.entries[0][0] == "fn-a"
     assert ranking.entries[0][1] == 1.0
 
 
 def test_keyword_rank_orders_by_match_count(keyword_repo):
     # "records" and "table" hit fn-b twice; "topic" hits fn-c once
-    ranking = keyword_rank("records table topic", keyword_repo, 3)
+    ranking = answer("keyword", "records table topic", 3, keyword_repo)
     assert [fid for fid, _ in ranking.entries][:2] == ["fn-b", "fn-c"]
     scores = [score for _, score in ranking.entries]
     assert scores == sorted(scores, reverse=True)
     assert all(0.0 <= s <= 1.0 for s in scores)
 
 
-def test_keyword_rank_accepts_prebuilt_index(keyword_repo):
-    index = build_keyword_index(keyword_repo)
-    direct = keyword_rank("detect labels", keyword_repo, 3)
-    indexed = keyword_rank("detect labels", index, 3)
-    assert direct == indexed
-
-
 def test_keyword_rank_truncates_to_k(keyword_repo):
-    assert len(keyword_rank("events", keyword_repo, 1).entries) == 1
+    assert len(answer("keyword", "events", 1, keyword_repo).entries) == 1
 
 
 # ---------------------------------------------------------------------------
-# embedding_rank
+# embedding method
 # ---------------------------------------------------------------------------
 
 def test_embedding_rank_identical_text_wins():
@@ -139,7 +169,7 @@ def test_embedding_rank_identical_text_wins():
         {"match": unit, "other": make_unit("other", "completely different body")}, 1
     )
     embedder = DeterministicEmbedder(dim=64)
-    ranking = embedding_rank(text, repo, embedder, 2)
+    ranking = answer("embedding", text, 2, repo, embedder)
     assert ranking.entries[0][0] == "match"
     assert ranking.entries[0][1] == pytest.approx(1.0, abs=1e-9)
 
@@ -157,7 +187,7 @@ def test_embedding_rank_matches_exhaustive_recompute():
     )
     embedder = DeterministicEmbedder(dim=128)
     query = "detect labels in images and tag them"
-    ranking = embedding_rank(query, repo, embedder, 5)
+    ranking = answer("embedding", query, 5, repo, embedder)
 
     qv = embed_intent(query, embedder)
     expected = sorted(
@@ -171,12 +201,12 @@ def test_embedding_rank_matches_exhaustive_recompute():
 
 
 def test_embedding_rank_empty_repository():
-    ranking = embedding_rank("anything", Repository(), DeterministicEmbedder(dim=16), 5)
+    ranking = answer("embedding", "anything", 5, Repository(), DeterministicEmbedder(dim=16))
     assert ranking.entries == ()
 
 
 # ---------------------------------------------------------------------------
-# variant_rank
+# llm-variant method
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -198,9 +228,13 @@ def variant_fixture_file(tmp_path, golden_reps):
 
 def test_variant_pool_is_whole_store(golden_reps, shared_embedder, variant_fixture_file):
     provider = FixtureExtractionProvider(variant_fixture_file)
-    result = variant_rank(QUERY_TEXT, golden_reps, provider, shared_embedder, 5, QUERY_ID)
+    result = variant(QUERY_TEXT, golden_reps, provider, shared_embedder, 5, QUERY_ID)
     assert result.similarity_evals == len(golden_reps)
     assert len(result.candidates.ids) == len(golden_reps)
+    assert result.ranking == answer(
+        "llm-variant", QUERY_TEXT, 5, reps=golden_reps, provider=provider,
+        embedder=shared_embedder, query_id=QUERY_ID,
+    )
 
 
 def test_variant_equals_recommend_when_pruning_is_noop(
@@ -216,9 +250,9 @@ def test_variant_equals_recommend_when_pruning_is_noop(
         embed_intent(query_rep.intent_text, shared_embedder)
     )
     full = recommend(query_rep, golden_reps, 12, QUERY_ID)
-    variant = variant_rank(QUERY_TEXT, golden_reps, provider, shared_embedder, 12, QUERY_ID)
-    assert variant.ranking == full.ranking
-    assert full.similarity_evals == variant.similarity_evals
+    exhaustive = variant(QUERY_TEXT, golden_reps, provider, shared_embedder, 12, QUERY_ID)
+    assert exhaustive.ranking == full.ranking
+    assert full.similarity_evals == exhaustive.similarity_evals
 
 
 def test_pruned_recommend_never_evaluates_more_than_variant(
@@ -226,5 +260,5 @@ def test_pruned_recommend_never_evaluates_more_than_variant(
 ):
     provider = FixtureExtractionProvider(variant_fixture_file)
     pruned = recommend(golden_query_rep, golden_reps, 10, QUERY_ID)
-    variant = variant_rank(QUERY_TEXT, golden_reps, provider, shared_embedder, 10, QUERY_ID)
-    assert pruned.similarity_evals <= variant.similarity_evals
+    exhaustive = variant(QUERY_TEXT, golden_reps, provider, shared_embedder, 10, QUERY_ID)
+    assert pruned.similarity_evals <= exhaustive.similarity_evals

@@ -255,6 +255,17 @@ def test_evaluate_five_repetitions_are_identical(runner, evaluation_setup, tmp_p
     assert all(block == blocks[0] for block in blocks)
 
 
+def test_evaluate_keyword_needs_no_fixture_file(runner, evaluation_setup):
+    # the keyword method never builds an extractor, so the fixture
+    # extractor's file is not required
+    args = evaluate_args(evaluation_setup, "--method", "keyword", "--repetitions", 1)
+    at = args.index("--fixture-file")
+    del args[at:at + 2]
+    result = invoke(runner, *args)
+    assert result.exit_code == 0, result.output
+    assert "keyword" in result.output
+
+
 def test_evaluate_unknown_ground_truth_fails(runner, evaluation_setup, tmp_path):
     dataset = tmp_path / "bad_queries.jsonl"
     dataset.write_text(

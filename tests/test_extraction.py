@@ -300,10 +300,15 @@ def test_extract_all_bounds_in_flight_requests(table):
 # SemanticRepresentation + store
 # ---------------------------------------------------------------------------
 
-def test_representation_rejects_non_unit_vector():
+@pytest.mark.parametrize(
+    "vector",
+    [np.ones(4), np.full(4, np.nan), np.array([np.inf, 0.0, 0.0, 0.0])],
+    ids=["ones", "nan", "inf"],
+)
+def test_representation_rejects_non_unit_vector(vector):
     with pytest.raises(ValidationError, match="unit-norm"):
         SemanticRepresentation(
-            "s", "text", np.ones(4), frozenset(), frozenset(), frozenset(),
+            "s", "text", vector, frozenset(), frozenset(), frozenset(),
             Provenance("fixture", "fixture", 0.0),
         )
 
@@ -323,6 +328,34 @@ def test_store_round_trip(tmp_path, golden_reps):
     assert set(loaded) == set(golden_reps)
     for fid, rep in golden_reps.items():
         assert representation_to_dict(loaded[fid]) == representation_to_dict(rep)
+
+
+def _store_row(fid, **overrides):
+    row = {"id": fid, "intent_text": "text", "intent_vector": [1.0, 0.0, 0.0],
+           "platforms": ["AWS Lambda"], "services": [], "languages": []}
+    return json.dumps({**row, **overrides})
+
+
+@pytest.mark.parametrize(
+    "bad_row, match",
+    [
+        (_store_row("b", platforms="AWS"), "'platforms' must be a list of strings"),
+        (_store_row("b", intent_vector="abc"), "not a list of numbers"),
+        (_store_row("b", intent_vector=[1.0, "x"]), "not a list of numbers"),
+        (_store_row("b", intent_vector=[[1.0], [0.0, 0.0]]), "not a list of numbers"),
+        (_store_row("b", intent_vector=[[1.0, 0.0, 0.0]]), "must be 1-D"),
+        (_store_row("b", intent_vector=[0.0, 1.0]), r"differ in length: \[2, 3\]"),
+        (_store_row("b", intent_vector=[float("nan")] * 3), "unit-norm"),
+        ("[1.0, 0.0, 0.0]", "must be a JSON object"),
+    ],
+    ids=["string-attribute", "string-vector", "non-numeric-element", "ragged",
+         "two-dimensional", "mixed-length", "nan", "not-an-object"],
+)
+def test_load_store_rejects_malformed_row(tmp_path, bad_row, match):
+    path = tmp_path / "store.jsonl"
+    path.write_text(_store_row("a") + "\n" + bad_row + "\n")
+    with pytest.raises(ConfigurationError, match=f"line 2 is invalid: .*{match}"):
+        load_representations(path)
 
 
 def test_load_store_missing_file(tmp_path):
