@@ -14,6 +14,7 @@ from .embedding import DeterministicEmbedder, RemoteEmbedder, embed_intent
 from .extraction import (
     PromptConfig,
     RawExtraction,
+    RepresentationStore,
     SemanticRepresentation,
     build_prompt,
     extract,
@@ -45,6 +46,7 @@ __all__ = [
     "RawExtraction",
     "RemoteEmbedder",
     "Repository",
+    "RepresentationStore",
     "SemanticRepresentation",
     "batch_add",
     "build_prompt",

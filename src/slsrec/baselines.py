@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .evaluation import QueryCase, QueryRunner, timed_answer
 from .extraction import (
     ExtractionProvider,
+    RepresentationStore,
     SemanticRepresentation,
     extract,
     summarize_intent,
@@ -123,10 +124,13 @@ def rank_all_intents(
 ) -> RecommendResult:
     """Similarity over every stored intent vector, no pruning."""
     start = time.perf_counter()
-    scored = score_intents(query_vector, reps, reps)
+    store = RepresentationStore.of(reps)
+    scored = score_intents(query_vector, store, store)
     ranking = top_k(query_id, scored, k)
     latency_ms = (time.perf_counter() - start) * 1000.0
-    return RecommendResult(ranking, CandidateSet(frozenset(reps)), len(scored), latency_ms)
+    return RecommendResult(
+        ranking, CandidateSet(store, np.arange(len(store))), len(scored), latency_ms
+    )
 
 
 # ---------------------------------------------------------------------------

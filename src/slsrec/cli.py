@@ -259,7 +259,7 @@ def cmd_query(text, reprs, k, query_id, output, trace, timing, norm_table, **fla
             else "skipped"
         )
         click.echo(f"level {audit.level}: {state}", err=True)
-    click.echo(f"survivors={len(result.candidates.ids)}", err=True)
+    click.echo(f"survivors={len(result.candidates)}", err=True)
     if not result.ranking.entries:
         click.echo("no matching functions")
     for position, (fid, score) in enumerate(result.ranking.entries, start=1):

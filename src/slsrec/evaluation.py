@@ -21,6 +21,7 @@ from .errors import (
     IntegrityError,
     ValidationError,
 )
+from .extraction import jsonl_lines
 from .matching import Ranking
 
 DEFAULT_KS = (1, 5, 10, 15, 20)
@@ -41,9 +42,7 @@ def load_query_dataset(path: str | Path) -> list[QueryCase]:
     if not path.is_file():
         raise ConfigurationError(f"query dataset not found: {path}")
     cases: list[QueryCase] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for line_no, line in jsonl_lines(path):
         try:
             row = json.loads(line)
             cases.append(QueryCase(row["id"], row["text"], row["ground_truth_id"]))

@@ -11,15 +11,16 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DimensionMismatchError,
     ExtractionFailedError,
+    IntegrityError,
     MalformedResponseError,
     ValidationError,
 )
@@ -32,6 +33,8 @@ LANGUAGES_LABEL = "Programming Languages"
 _LABELS = (INTENT_LABEL, PLATFORMS_LABEL, SERVICES_LABEL, LANGUAGES_LABEL)
 
 UNIT_NORM_TOLERANCE = 1e-6
+
+LEVELS = ("platforms", "services", "languages")
 
 
 @dataclass(frozen=True)
@@ -66,29 +69,16 @@ class SemanticRepresentation:
                     f"intent vector of '{self.subject_id}' is not unit-norm "
                     f"(norm={norm!r})"
                 )
-        for attr in ("platforms", "services", "languages"):
+        for attr in LEVELS:
             if any(term.casefold() == "none" for term in getattr(self, attr)):
                 raise ValidationError(
                     f"'{self.subject_id}'.{attr} contains a literal 'None' element"
                 )
 
     def attribute_set(self, level: str) -> frozenset[str]:
-        if level not in ("platforms", "services", "languages"):
+        if level not in LEVELS:
             raise ValidationError(f"unknown attribute level '{level}'")
         return getattr(self, level)
-
-    @cached_property
-    def _folded(self) -> dict[str, frozenset[str]]:
-        return {
-            level: frozenset(term.casefold() for term in getattr(self, level))
-            for level in ("platforms", "services", "languages")
-        }
-
-    def folded_attribute_set(self, level: str) -> frozenset[str]:
-        """Case-folded attribute set; cached since matching is the hot path."""
-        if level not in ("platforms", "services", "languages"):
-            raise ValidationError(f"unknown attribute level '{level}'")
-        return self._folded[level]
 
     def with_vector(self, vector: np.ndarray) -> "SemanticRepresentation":
         return replace(self, intent_vector=vector)
@@ -326,11 +316,7 @@ class FixtureExtractionProvider:
         path = Path(path)
         if not path.is_file():
             raise ConfigurationError(f"fixture file not found: {path}")
-        for line_no, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
+        for line_no, line in jsonl_lines(path):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -464,6 +450,17 @@ def extract_all(
 # Representation store (JSONL)
 # ---------------------------------------------------------------------------
 
+def jsonl_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a JSONL file, read
+    as a stream. Lines end at "\\n" only: str.splitlines would also split
+    inside strings holding U+2028, U+2029 or U+0085, which JSON may carry
+    unescaped."""
+    with path.open(encoding="utf-8", newline="\n") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                yield line_no, line
+
+
 def representation_to_dict(rep: SemanticRepresentation) -> dict:
     return {
         "id": rep.subject_id,
@@ -529,15 +526,15 @@ def save_representations(
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_representations(path: str | Path) -> dict[str, SemanticRepresentation]:
+def load_representations(path: str | Path) -> "RepresentationStore":
+    """Read a JSONL store into a RepresentationStore. Raises
+    ConfigurationError naming the first invalid line."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"representation store not found: {path}")
     reps: dict[str, SemanticRepresentation] = {}
     dims: set[int] = set()
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for line_no, line in jsonl_lines(path):
         try:
             rep = representation_from_dict(json.loads(line))
             if rep.intent_vector is not None:
@@ -549,4 +546,83 @@ def load_representations(path: str | Path) -> dict[str, SemanticRepresentation]:
                 f"representation store line {line_no} is invalid: {exc}"
             ) from exc
         reps[rep.subject_id] = rep
-    return reps
+    return RepresentationStore(reps)
+
+
+class RepresentationStore(Mapping[str, SemanticRepresentation]):
+    """A read-only map from function id to representation, laid out in
+    columns for matching. Iteration yields ids in ascending order.
+
+    Rows are sorted by attribute set, level by level starting with the
+    level that has the fewest distinct sets, then by id, so functions that
+    share all three sets occupy consecutive rows. Per level, `codes[level]`
+    gives each row's index into `sets[level]`, the level's distinct
+    case-folded sets. `matrix` holds one read-only float64 row per
+    function, and each stored representation's intent_vector is a view of
+    its row, so every vector exists once. A function without a vector has
+    a zero row and `has_vector` False; `dim` is None when no function has
+    a vector.
+    """
+
+    def __init__(self, reps: Mapping[str, SemanticRepresentation]):
+        ids = sorted(reps)
+        folded = {
+            level: [frozenset(t.casefold() for t in getattr(reps[fid], level)) for fid in ids]
+            for level in LEVELS
+        }
+        self.sets: dict[str, list[frozenset[str]]] = {}
+        codes: dict[str, np.ndarray] = {}
+        for level in LEVELS:
+            self.sets[level] = sorted(set(folded[level]), key=sorted)
+            code_of = {s: code for code, s in enumerate(self.sets[level])}
+            codes[level] = np.array([code_of[s] for s in folded[level]], dtype=np.intp)
+        # lexsort's last key is the most significant; it is stable, and ids
+        # are already ascending
+        by_size = sorted(LEVELS, key=lambda level: len(self.sets[level]))
+        order = np.lexsort([codes[level] for level in reversed(by_size)])
+        self.codes = {level: codes[level][order] for level in LEVELS}
+        self.row_ids = np.array(ids, dtype=object)[order]
+
+        vectors = [reps[fid].intent_vector for fid in self.row_ids]
+        shapes = {np.shape(v) for v in vectors if v is not None}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise DimensionMismatchError(f"intent vectors differ in shape: {sorted(shapes)}")
+        self.dim: int | None = shapes.pop()[0] if shapes else None
+        self.has_vector = np.array([v is not None for v in vectors], dtype=bool)
+        self.matrix = np.zeros((len(ids), self.dim or 0))
+        for row in np.flatnonzero(self.has_vector):
+            self.matrix[row] = vectors[row]
+        self.matrix.flags.writeable = False
+
+        self._row = {fid: row for row, fid in enumerate(self.row_ids)}
+        self._reps = {}
+        for fid in ids:
+            rep, row = reps[fid], self._row[fid]
+            if rep.intent_vector is not None:
+                rep = replace(rep, intent_vector=self.matrix[row])
+            self._reps[fid] = rep
+
+    @classmethod
+    def of(cls, reps: Mapping[str, SemanticRepresentation]) -> "RepresentationStore":
+        """reps itself when it is a store, else a store built from it."""
+        return reps if isinstance(reps, cls) else cls(reps)
+
+    def __getitem__(self, fid: str) -> SemanticRepresentation:
+        return self._reps[fid]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._reps)
+
+    def __len__(self) -> int:
+        return len(self._reps)
+
+    def rows_of(self, ids: Iterable[str]) -> np.ndarray:
+        """Ascending row numbers of the given ids; IntegrityError names an
+        id the store does not hold."""
+        try:
+            rows = [self._row[fid] for fid in ids]
+        except KeyError as exc:
+            raise IntegrityError(
+                f"function '{exc.args[0]}' is not in the representation store"
+            ) from None
+        return np.sort(np.array(rows, dtype=np.intp))

@@ -11,14 +11,13 @@ ranked by cosine similarity between intent vectors.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatchError, IntegrityError, ValidationError
-from .extraction import SemanticRepresentation
-
-LEVELS = ("platforms", "services", "languages")
+from .extraction import LEVELS, RepresentationStore, SemanticRepresentation
 
 
 # ---------------------------------------------------------------------------
@@ -100,53 +99,64 @@ class LevelAudit:
     retained: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Survivor ids plus the per-level audit trail."""
+    """Survivors as ascending row numbers of a store, plus the per-level
+    audit trail."""
 
-    ids: frozenset[str]
+    store: RepresentationStore
+    rows: np.ndarray
     audit: tuple[LevelAudit, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def ids(self) -> frozenset[str]:
+        """Survivor ids, built on first read."""
+        return frozenset(self.store.row_ids[self.rows].tolist())
 
 
 def prune_level(
     candidates: CandidateSet,
-    reps: Mapping[str, SemanticRepresentation],
+    reps: RepresentationStore,
     query_attr: Iterable[str],
     level: str,
 ) -> CandidateSet:
     """One pruning level: full matches plus the Pareto front of partials.
 
     Attribute comparison is case-insensitive; a candidate with an empty
-    attribute set scores (1, 1), worst on both objectives.
+    attribute set scores (1, 1), worst on both objectives. Candidates that
+    share a set share its objectives, so the query meets each distinct set
+    of the store once and whole sets are kept or dropped. reps must be the
+    store the candidates index.
     """
     query = frozenset(term.casefold() for term in query_attr)
     if not query:
         raise ValidationError(f"level '{level}' requires a non-empty query attribute")
+    if reps is not candidates.store:
+        raise ValidationError("candidates index another representation store")
 
     query_len = len(query)
-    full: list[str] = []
-    partial_ids: list[str] = []
-    partial_pairs: list[tuple[float, float]] = []
-    for fid in candidates.ids:
-        rep = reps.get(fid)
-        if rep is None:
-            raise IntegrityError(f"candidate '{fid}' is not in the representation store")
-        attr = rep._folded[level]  # bypasses accessor validation in the hot loop
-        # same formulas as jaccard_distance/subset_coverage, one intersection
-        inter = len(query & attr)
-        if inter == query_len:
-            full.append(fid)
-        else:
-            union = query_len + len(attr) - inter
-            partial_ids.append(fid)
-            partial_pairs.append(
-                ((union - inter) / union, (query_len - inter) / query_len)
-            )
+    sets = reps.sets[level]
+    inter = np.array([len(query & attr) for attr in sets], dtype=np.intp)
+    keep_code = inter == query_len
+    codes = reps.codes[level][candidates.rows]
+    full = keep_code[codes]
+    # the distinct sets of the partial candidates, ascending
+    partial_codes = np.flatnonzero(np.bincount(codes[~full], minlength=len(sets)))
+    # same formulas as jaccard_distance/subset_coverage, one pair per set
+    pairs = []
+    for code in partial_codes.tolist():
+        shared = int(inter[code])
+        union = query_len + len(sets[code]) - shared
+        pairs.append(((union - shared) / union, (query_len - shared) / query_len))
+    keep_code[partial_codes[sorted(_pareto_front_pairs(pairs))]] = True
 
-    kept = _pareto_front_pairs(partial_pairs)
-    retained = frozenset(full) | {partial_ids[i] for i in kept}
-    audit = LevelAudit(level, True, len(full), len(kept), len(retained))
-    return CandidateSet(retained, candidates.audit + (audit,))
+    retained = candidates.rows[keep_code[codes]]
+    n_full = int(np.count_nonzero(full))
+    audit = LevelAudit(level, True, n_full, len(retained) - n_full, len(retained))
+    return CandidateSet(reps, retained, candidates.audit + (audit,))
 
 
 def multi_level_prune(
@@ -154,15 +164,17 @@ def multi_level_prune(
     query_rep: SemanticRepresentation,
 ) -> CandidateSet:
     """Apply the pruning levels in order, each consuming the previous
-    survivors; a level whose query attribute set is empty is skipped."""
-    candidates = CandidateSet(frozenset(reps))
+    survivors; a level whose query attribute set is empty is skipped.
+    reps that is not a RepresentationStore is converted to one first."""
+    store = RepresentationStore.of(reps)
+    candidates = CandidateSet(store, np.arange(len(store)))
     for level in LEVELS:
         query_attr = query_rep.attribute_set(level)
         if not query_attr:
-            skipped = LevelAudit(level, False, 0, 0, len(candidates.ids))
-            candidates = CandidateSet(candidates.ids, candidates.audit + (skipped,))
+            skipped = LevelAudit(level, False, 0, 0, len(candidates))
+            candidates = CandidateSet(store, candidates.rows, candidates.audit + (skipped,))
             continue
-        candidates = prune_level(candidates, reps, query_attr, level)
+        candidates = prune_level(candidates, store, query_attr, level)
     return candidates
 
 
@@ -255,7 +267,7 @@ class RecommendResult:
                 }
                 for a in self.candidates.audit
             ],
-            "survivors": len(self.candidates.ids),
+            "survivors": len(self.candidates),
             "ranking": [
                 {"id": fid, "score": score} for fid, score in self.ranking.entries
             ],
@@ -263,6 +275,25 @@ class RecommendResult:
         if include_latency:
             doc["latency_ms"] = self.latency_ms
         return doc
+
+
+def _score_rows(store: RepresentationStore, rows: np.ndarray, query_vector: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each given row, in row order, computed once per
+    row. Pruning keeps or drops whole attribute sets, and rows sharing
+    their sets are consecutive, so the rows fall into a few runs; each run
+    is one pass over a contiguous slice of the matrix. np.vecdot takes the
+    same per-row dot product as cosine_similarity, so the scores, and the
+    order of tied duplicates, match it exactly (a matrix-vector np.dot
+    rounds each row differently depending on its position)."""
+    lacking = rows[~store.has_vector[rows]]
+    if lacking.size:
+        raise IntegrityError(f"function '{min(store.row_ids[lacking])}' has no intent vector")
+    scores = np.empty(len(rows))
+    run_starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+    for start, end in zip(run_starts, run_starts[1:] + [len(rows)]):
+        first = rows[start]
+        np.vecdot(store.matrix[first:first + end - start], query_vector, out=scores[start:end])
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def recommend(
@@ -274,7 +305,9 @@ def recommend(
     """Prune, score survivors by intent similarity, return the top k.
 
     Similarity is evaluated once per survivor, never per repository entry.
-    Ties break by ascending function id so rankings are reproducible.
+    Ties break by ascending function id so rankings are reproducible. reps
+    that is not a RepresentationStore is converted to one on every call;
+    build the store once to answer many queries.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -282,10 +315,21 @@ def recommend(
         raise ValidationError("query representation has no intent vector")
 
     start = time.perf_counter()
-    candidates = multi_level_prune(reps, query_rep)
-    # id order is the store's load order; scoring in it, rather than in the
-    # set's hash order, keeps memory access sequential and is measurably faster
-    scored = score_intents(query_rep.intent_vector, reps, sorted(candidates.ids))
+    store = RepresentationStore.of(reps)
+    query_vector = np.asarray(query_rep.intent_vector, dtype=np.float64)
+    if store.dim is not None and query_vector.shape != (store.dim,):
+        raise DimensionMismatchError(
+            f"query vector shape {query_vector.shape} does not match the store's ({store.dim},)"
+        )
+    candidates = multi_level_prune(store, query_rep)
+    rows = candidates.rows
+    scores = _score_rows(store, rows, query_vector)
+    if len(scores) > k:
+        # every row scoring at least the k-th best, ties included, goes on
+        # to top_k, which orders them by (-score, id)
+        keep = scores >= np.partition(scores, len(scores) - k)[len(scores) - k]
+        rows, scores = rows[keep], scores[keep]
+    scored = zip(store.row_ids[rows].tolist(), scores.tolist())
     ranking = top_k(query_id or query_rep.subject_id, scored, k)
     latency_ms = (time.perf_counter() - start) * 1000.0
-    return RecommendResult(ranking, candidates, len(scored), latency_ms)
+    return RecommendResult(ranking, candidates, len(candidates), latency_ms)

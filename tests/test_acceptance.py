@@ -26,6 +26,7 @@ from slsrec.evaluation import QueryCase, mrr_at_k, recall_at_k
 from slsrec.extraction import (
     FixtureExtractionProvider,
     Provenance,
+    RepresentationStore,
     SemanticRepresentation,
     extract,
     parse_extraction,
@@ -238,7 +239,8 @@ def test_criterion_04_pruning_soundness(pruning_corpora):
         for fid, rep in reps.items():
             fully_covered = all(
                 not query.attribute_set(level)
-                or query.folded_attribute_set(level) <= rep.folded_attribute_set(level)
+                or {t.casefold() for t in query.attribute_set(level)}
+                <= {t.casefold() for t in rep.attribute_set(level)}
                 for level in LEVELS
             )
             if fully_covered and fid not in survivors:
@@ -333,6 +335,8 @@ def test_criterion_07_pruning_efficiency(tmp_path):
         )
     sharing = sum(1 for r in reps.values() if "aws lambda" in r.platforms)
     assert sharing == 200  # 40% of 500 share the query's platform
+    # built once and shared by both methods, as `slsrec evaluate` does
+    reps = RepresentationStore(reps)
 
     query_text = "detect labels and upload results"
     query = make_rep(

@@ -18,6 +18,7 @@ from slsrec.extraction import (
     PromptConfig,
     Provenance,
     RawExtraction,
+    RepresentationStore,
     SemanticRepresentation,
     build_intent_prompt,
     build_prompt,
@@ -31,6 +32,7 @@ from slsrec.extraction import (
     save_representations,
     summarize_intent,
 )
+from slsrec.evaluation import load_query_dataset
 from slsrec.normalization import NormalizationTable
 
 from conftest import QUERY_ID, QUERY_TEXT, S3_TAGGER_CS
@@ -328,6 +330,35 @@ def test_store_round_trip(tmp_path, golden_reps):
     assert set(loaded) == set(golden_reps)
     for fid, rep in golden_reps.items():
         assert representation_to_dict(loaded[fid]) == representation_to_dict(rep)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_jsonl_readers_split_lines_on_newline_only(tmp_path, char):
+    # JSON writes these line separators unescaped; a reader that splits on
+    # them cuts a row in two
+    text = f"resize{char}uploaded images"
+    rep = SemanticRepresentation(
+        "s", text, np.eye(3)[0], frozenset({"AWS Lambda"}), frozenset(), frozenset(),
+        Provenance("fixture", "fixture", 0.0),
+    )
+    store = tmp_path / "store.jsonl"
+    save_representations(store, [rep])
+    loaded = load_representations(store)
+    assert isinstance(loaded, RepresentationStore)
+    assert representation_to_dict(loaded["s"]) == representation_to_dict(rep)
+
+    fixture = tmp_path / "fixture.jsonl"
+    fixture.write_text(json.dumps({"id": "s", "intent_text": text}, ensure_ascii=False) + "\n",
+                       encoding="utf-8")
+    assert FixtureExtractionProvider(fixture).summarize_intent("s", "prompt") == text
+
+    dataset = tmp_path / "queries.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q", "text": text, "ground_truth_id": "s"}, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+    assert load_query_dataset(dataset)[0].text == text
 
 
 def _store_row(fid, **overrides):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slsrec.embedding import DeterministicEmbedder, embed_intent
 from slsrec.errors import DimensionMismatchError, IntegrityError, ValidationError
-from slsrec.extraction import Provenance, SemanticRepresentation
+from slsrec.extraction import Provenance, RepresentationStore, SemanticRepresentation
 from slsrec.matching import (
     LEVELS,
     CandidateSet,
@@ -24,6 +24,7 @@ from slsrec.matching import (
 )
 
 from conftest import QUERY_ID, TARGET_ID
+from reference_matching import reference_recommend
 
 
 def make_rep(uid, platforms=(), services=(), languages=(), intent="x", vector=None):
@@ -150,13 +151,19 @@ def test_pareto_matches_brute_force(raw_points):
 # prune_level / multi_level_prune
 # ---------------------------------------------------------------------------
 
+def prune_all(reps, query_attr, level):
+    """prune_level over every function of a store built from reps."""
+    store = RepresentationStore(reps)
+    return prune_level(CandidateSet(store, np.arange(len(store))), store, query_attr, level)
+
+
 def test_prune_level_keeps_worst_point_partial_when_nothing_dominates():
     reps = {
         "f1": make_rep("f1", platforms={"AWS Lambda"}),
         "f2": make_rep("f2", platforms={"Azure Functions"}),
         "f3": make_rep("f3", platforms={"AWS Lambda", "Apache OpenWhisk"}),
     }
-    out = prune_level(CandidateSet(frozenset(reps)), reps, {"AWS Lambda"}, "platforms")
+    out = prune_all(reps, {"AWS Lambda"}, "platforms")
     assert out.ids == {"f1", "f2", "f3"}
     audit = out.audit[-1]
     assert (audit.full, audit.pareto, audit.retained) == (2, 1, 3)
@@ -168,14 +175,14 @@ def test_prune_level_superset_is_full_match():
         "f2": make_rep("f2", platforms={"Azure Functions"}),
         "f4": make_rep("f4", platforms={"AWS Lambda", "Azure Functions"}),
     }
-    out = prune_level(CandidateSet(frozenset(reps)), reps, {"AWS Lambda"}, "platforms")
+    out = prune_all(reps, {"AWS Lambda"}, "platforms")
     assert out.ids == {"f1", "f2", "f4"}
     assert out.audit[-1].full == 2
 
 
 def test_prune_level_all_full_matches_is_identity():
     reps = {f"f{i}": make_rep(f"f{i}", services={"AWS S3"}) for i in range(4)}
-    out = prune_level(CandidateSet(frozenset(reps)), reps, {"AWS S3"}, "services")
+    out = prune_all(reps, {"AWS S3"}, "services")
     assert out.ids == frozenset(reps)
     assert out.audit[-1].pareto == 0
 
@@ -187,21 +194,29 @@ def test_prune_level_dominated_partials_die():
         "empty": make_rep("empty"),
     }
     query = {"AWS S3", "AWS Rekognition"}
-    out = prune_level(CandidateSet(frozenset(reps)), reps, query, "services")
+    out = prune_all(reps, query, "services")
     assert out.ids == {"half"}
 
 
 def test_prune_level_is_case_insensitive():
     reps = {"f": make_rep("f", platforms={"aws lambda"})}
-    out = prune_level(CandidateSet(frozenset(reps)), reps, {"AWS Lambda"}, "platforms")
+    out = prune_all(reps, {"AWS Lambda"}, "platforms")
     assert out.ids == {"f"}
     assert out.audit[-1].full == 1
 
 
 def test_prune_level_unknown_candidate():
-    reps = {"f": make_rep("f", platforms={"AWS Lambda"})}
+    store = RepresentationStore({"f": make_rep("f", platforms={"AWS Lambda"})})
     with pytest.raises(IntegrityError, match="ghost"):
-        prune_level(CandidateSet(frozenset({"ghost"})), reps, {"AWS Lambda"}, "platforms")
+        prune_level(CandidateSet(store, store.rows_of({"ghost"})), store, {"AWS Lambda"},
+                    "platforms")
+
+
+def test_prune_level_rejects_candidates_of_another_store():
+    reps = {"f": make_rep("f", platforms={"AWS Lambda"})}
+    candidates = CandidateSet(RepresentationStore(reps), np.arange(1))
+    with pytest.raises(ValidationError, match="another representation store"):
+        prune_level(candidates, RepresentationStore(reps), {"AWS Lambda"}, "platforms")
 
 
 def test_multi_level_prune_skips_empty_levels():
@@ -408,6 +423,18 @@ def test_recommend_requires_query_vector(golden_reps):
         recommend(make_rep("q"), golden_reps, 5)
 
 
+def test_recommend_rejects_query_vector_of_other_length(golden_reps, golden_query_rep):
+    short = golden_query_rep.with_vector(np.eye(8)[0])
+    with pytest.raises(DimensionMismatchError, match=r"\(8,\)"):
+        recommend(short, golden_reps, 5)
+
+
+def test_store_rejects_vectors_of_differing_length():
+    reps = {"a": make_rep("a", vector=np.eye(4)[0]), "b": make_rep("b", vector=np.eye(3)[0])}
+    with pytest.raises(DimensionMismatchError, match="differ in shape"):
+        RepresentationStore(reps)
+
+
 def test_recommend_missing_survivor_vector(golden_query_rep):
     reps = {"fx": make_rep("fx", platforms={"AWS Lambda"},
                            services={"AWS S3", "AWS Rekognition"})}
@@ -426,3 +453,86 @@ def test_trace_shape(golden_reps, golden_query_rep):
         include_latency=True
     )
     assert "latency_ms" in timed
+
+
+# ---------------------------------------------------------------------------
+# The representation store against the per-candidate reference
+# ---------------------------------------------------------------------------
+
+def test_store_layout(golden_reps):
+    store = RepresentationStore(golden_reps)
+    assert list(store) == sorted(golden_reps)
+    assert {**store}.keys() == golden_reps.keys()
+    assert not store.matrix.flags.writeable
+    for fid, rep in golden_reps.items():
+        row = store.matrix[store.rows_of([fid])[0]]
+        assert np.shares_memory(store[fid].intent_vector, row)
+        np.testing.assert_array_equal(store[fid].intent_vector, rep.intent_vector)
+    # rows sort by the codes of the level with the fewest distinct sets first
+    first = min(LEVELS, key=lambda level: len(store.sets[level]))
+    assert np.all(np.diff(store.codes[first]) >= 0)
+    for level in LEVELS:
+        folded = [store.sets[level][code] for code in store.codes[level]]
+        assert folded == [
+            frozenset(t.casefold() for t in getattr(golden_reps[fid], level))
+            for fid in store.row_ids
+        ]
+
+
+# case variants of one term fold together
+_TERMS = {
+    "platforms": ["AWS Lambda", "aws lambda", "Azure Functions", "AZURE FUNCTIONS",
+                  "Google Cloud Functions"],
+    "services": ["AWS S3", "aws s3", "AWS DynamoDB", "AWS Rekognition", "aws rekognition",
+                 "Google Firestore"],
+    "languages": ["Python", "python", "JavaScript", "Go"],
+}
+
+
+def _subset(level, mask):
+    return frozenset(t for i, t in enumerate(_TERMS[level]) if mask >> i & 1)
+
+
+# one function: a bitmask choosing its terms at each level, and which pool
+# vector it has
+_FUNCTION = st.tuples(
+    *(st.integers(0, 2 ** len(_TERMS[level]) - 1) for level in LEVELS), st.integers(0, 5)
+)
+
+
+@st.composite
+def stores_and_queries(draw):
+    """0-60 functions whose vectors come from a pool of 1-6, so that tied
+    scores are common, plus a query that may leave any level empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.standard_normal((draw(st.integers(1, 6)), 8))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+
+    def rep(fid, function):
+        *masks, vector = function
+        attrs = {level: _subset(level, mask) for level, mask in zip(LEVELS, masks)}
+        return make_rep(fid, vector=pool[vector % len(pool)], **attrs)
+
+    reps = {}
+    size = draw(st.integers(0, 60))
+    for i, function in enumerate(draw(st.lists(_FUNCTION, min_size=size, max_size=size))):
+        fid = f"f{i * 37 % 100:02d}"  # insertion order is not id order
+        reps[fid] = rep(fid, function)
+    *masks, vector = draw(_FUNCTION)
+    skipped = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    query = rep("q", (*(0 if skip else m for skip, m in zip(skipped, masks)), vector))
+    return reps, query, draw(st.integers(1, 10) | st.integers(1, 70))
+
+
+@given(stores_and_queries())
+@settings(max_examples=300, deadline=None)
+def test_store_matches_per_candidate_reference(case):
+    reps, query, k = case
+    ids, audit, entries = reference_recommend(query, reps, k)
+    result = recommend(query, reps, k, "q")
+    assert result.candidates.audit == audit
+    assert result.candidates.ids == ids
+    assert result.similarity_evals == len(ids)
+    assert [fid for fid, _ in result.ranking.entries] == [fid for fid, _ in entries]
+    for (_fid, got), (_same, want) in zip(result.ranking.entries, entries):
+        assert abs(got - want) <= 1e-12
