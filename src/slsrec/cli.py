@@ -31,6 +31,7 @@ from .extraction import (
     FixtureExtractionProvider,
     Provenance,
     RemoteExtractionProvider,
+    atomic_write,
     extract,
     extract_all,
     load_representations,
@@ -342,7 +343,8 @@ def cmd_evaluate(dataset, repo, reprs, method, ks, repetitions, report_path, out
         "methods": [report.to_dict() for report in reports],
     }
     if report_path:
-        Path(report_path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        report = json.dumps(doc, indent=2).encode("utf-8")
+        atomic_write(report_path, lambda fh: fh.write(report))
     if output == "json":
         click.echo(json.dumps(doc))
     else:

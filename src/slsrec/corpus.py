@@ -24,6 +24,7 @@ from .errors import (
     RepositoryFormatError,
     ValidationError,
 )
+from .extraction import atomic_write, jsonl_lines
 
 
 @dataclass(frozen=True)
@@ -309,11 +310,7 @@ def ingest_corpus(
 
     units: list[FunctionUnit] = []
     seen: set[str] = set()
-    for line_no, raw_line in enumerate(
-        manifest_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not raw_line.strip():
-            continue
+    for line_no, raw_line in jsonl_lines(manifest_path):
         try:
             entry = json.loads(raw_line)
         except json.JSONDecodeError as exc:
@@ -390,7 +387,8 @@ def persist(repo: Repository) -> bytes:
 
 
 def save(repo: Repository, path: str | Path) -> None:
-    Path(path).write_bytes(persist(repo))
+    data = persist(repo)
+    atomic_write(path, lambda fh: fh.write(data))
 
 
 def load(path: str | Path) -> Repository:

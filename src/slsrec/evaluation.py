@@ -42,14 +42,23 @@ def load_query_dataset(path: str | Path) -> list[QueryCase]:
     if not path.is_file():
         raise ConfigurationError(f"query dataset not found: {path}")
     cases: list[QueryCase] = []
+    line_of: dict[str, int] = {}
     for line_no, line in jsonl_lines(path):
         try:
             row = json.loads(line)
-            cases.append(QueryCase(row["id"], row["text"], row["ground_truth_id"]))
+            case = QueryCase(row["id"], row["text"], row["ground_truth_id"])
         except (json.JSONDecodeError, KeyError) as exc:
             raise ConfigurationError(
                 f"query dataset line {line_no} is invalid: {exc}"
             ) from exc
+        # rankings are kept by query id, so a repeated id would score one
+        # case against another's ranking
+        first = line_of.setdefault(case.id, line_no)
+        if first != line_no:
+            raise ConfigurationError(
+                f"query dataset lines {first} and {line_no} both hold query '{case.id}'"
+            )
+        cases.append(case)
     return cases
 
 

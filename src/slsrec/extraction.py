@@ -7,12 +7,17 @@ table, and packed into a SemanticRepresentation. A deterministic fixture
 provider keyed by subject id makes the whole pipeline runnable offline.
 """
 
+import hashlib
 import json
+import logging
+import os
 import re
+import secrets
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Protocol
 
 import numpy as np
 
@@ -35,6 +40,8 @@ _LABELS = (INTENT_LABEL, PLATFORMS_LABEL, SERVICES_LABEL, LANGUAGES_LABEL)
 UNIT_NORM_TOLERANCE = 1e-6
 
 LEVELS = ("platforms", "services", "languages")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -447,19 +454,102 @@ def extract_all(
 
 
 # ---------------------------------------------------------------------------
-# Representation store (JSONL)
+# Files
 # ---------------------------------------------------------------------------
 
-def jsonl_lines(path: Path) -> Iterator[tuple[int, str]]:
+def jsonl_lines(path: Path, digest=None) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-blank line of a JSONL file, read
     as a stream. Lines end at "\\n" only: str.splitlines would also split
     inside strings holding U+2028, U+2029 or U+0085, which JSON may carry
-    unescaped."""
-    with path.open(encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, 1):
+    unescaped. A given hashlib digest is fed every byte read, blank lines
+    included. ConfigurationError names a line that is not UTF-8."""
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            if digest is not None:
+                digest.update(raw)
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{path} line {line_no} is not UTF-8: {exc}") from exc
             if line.strip():
                 yield line_no, line
 
+
+def _file_sha256(fh: BinaryIO) -> str:
+    """The sha256 of what is left to read of fh, read in 1 MiB chunks
+    (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def atomic_write(
+    path: str | Path, write: Callable[[BinaryIO], object]
+) -> tuple[int, str] | None:
+    """Replace path by what write(fh) puts into a binary file, all or
+    nothing, and return the size and sha256 of the bytes written.
+
+    The bytes go to a new file in path's directory, which is flushed to
+    disk and then renamed over path; the directory is flushed last, so
+    that the rename survives a crash too (Pillai et al., "All File Systems
+    Are Not Created Equal", OSDI 2014). If anything fails, path keeps its
+    old bytes and the new file is removed. A replaced file keeps its
+    permission bits, and a symlink's target is the file replaced.
+
+    What cannot be replaced is written in place and None returned: a path
+    that exists but is not a regular file (a device such as /dev/stdout,
+    or a FIFO), and a file in a directory where no new file can be made.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        # opened by its own name: /dev/stdout's link resolves to no path
+        # when stdout is a pipe
+        return _write_in_place(Path(path), write)
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except PermissionError:
+        if mode is None:
+            raise
+        return _write_in_place(path, write)
+    try:
+        with fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        # read back from this process's own file, so the digest is of
+        # exactly these bytes even if another writer replaces path
+        with open(tmp, "rb") as fh:
+            digest = _file_sha256(fh)
+            size = fh.tell()
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+    return size, digest
+
+
+def _write_in_place(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    log.debug("writing %s in place: it cannot be replaced", path)
+    with open(path, "wb") as fh:
+        write(fh)
+
+
+# ---------------------------------------------------------------------------
+# Representation store: JSONL, plus a binary sidecar that caches it
+# ---------------------------------------------------------------------------
 
 def representation_to_dict(rep: SemanticRepresentation) -> dict:
     return {
@@ -521,20 +611,46 @@ def representation_from_dict(row: dict) -> SemanticRepresentation:
 def save_representations(
     path: str | Path, reps: Iterable[SemanticRepresentation]
 ) -> None:
-    rows = sorted(reps, key=lambda r: r.subject_id)
-    lines = [json.dumps(representation_to_dict(r), ensure_ascii=False) for r in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Write the JSONL store, one row per function in id order, then its
+    sidecar. Raises ValidationError, before writing, for a repeated id."""
+    rows = {}
+    for rep in sorted(reps, key=lambda r: r.subject_id):
+        if rep.subject_id in rows:
+            raise ValidationError(f"two representations of '{rep.subject_id}'")
+        rows[rep.subject_id] = rep
+
+    def write(fh: BinaryIO) -> None:
+        for rep in rows.values():
+            fh.write(json.dumps(representation_to_dict(rep), ensure_ascii=False).encode("utf-8"))
+            fh.write(b"\n")
+
+    written = atomic_write(path, write)
+    if written is not None:  # a store written in place has no provable sidecar
+        _write_sidecar(Path(path), RepresentationStore(rows), *written)
 
 
 def load_representations(path: str | Path) -> "RepresentationStore":
     """Read a JSONL store into a RepresentationStore. Raises
-    ConfigurationError naming the first invalid line."""
+    ConfigurationError naming the first invalid line, or both lines of a
+    repeated id.
+
+    The store comes from the sidecar when it provably matches the JSONL;
+    otherwise the JSONL is parsed and the sidecar rewritten, as a best
+    effort. Either way the result is the same.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"representation store not found: {path}")
+    try:
+        return _read_sidecar(path)
+    except (OSError, EOFError, ValueError, LookupError, TypeError) as exc:
+        log.debug("parsing %s: its sidecar is not usable: %s", path, exc)
+
+    digest = hashlib.sha256()
     reps: dict[str, SemanticRepresentation] = {}
+    line_of: dict[str, int] = {}
     dims: set[int] = set()
-    for line_no, line in jsonl_lines(path):
+    for line_no, line in jsonl_lines(path, digest):
         try:
             rep = representation_from_dict(json.loads(line))
             if rep.intent_vector is not None:
@@ -545,8 +661,131 @@ def load_representations(path: str | Path) -> "RepresentationStore":
             raise ConfigurationError(
                 f"representation store line {line_no} is invalid: {exc}"
             ) from exc
+        first = line_of.setdefault(rep.subject_id, line_no)
+        if first != line_no:
+            raise ConfigurationError(
+                f"representation store lines {first} and {line_no} both hold '{rep.subject_id}'"
+            )
         reps[rep.subject_id] = rep
-    return RepresentationStore(reps)
+    store = RepresentationStore(reps)
+    del reps  # the store holds copies; free the rows before the sidecar is written
+    # the size is only a quick first check when the sidecar is read; the
+    # digest is of the bytes parsed
+    _write_sidecar(path, store, path.stat().st_size, digest.hexdigest())
+    return store
+
+
+SIDECAR_FORMAT = 1
+_SUMS = re.compile(rb"([0-9a-f]{64})  meta\.json\n([0-9a-f]{64})  vectors\.npy\n")
+
+
+def sidecar_dir(path: Path) -> Path:
+    """The sidecar of the JSONL store at path: vectors.npy holds the
+    matrix in row order, meta.json the JSONL's size and sha256 plus every
+    other column, and SHA256SUMS (`sha256sum -c` format, written last)
+    the digest of both. It is derived data: deleting it is safe."""
+    return path.with_name(path.name + ".cache")
+
+
+def _write_sidecar(path: Path, store: "RepresentationStore", size: int, sha256: str) -> None:
+    """Write the sidecar of the store read from, or written to, path. An
+    OSError is logged as a warning: the JSONL stays the store."""
+    meta = json.dumps({
+        "format": SIDECAR_FORMAT,
+        "jsonl": {"size": size, "sha256": sha256},
+        "ids": store.row_ids.tolist(),
+        "intent_texts": store.intent_texts,
+        "terms": {
+            level: {"table": [sorted(s) for s in store.terms[level]],
+                    "codes": store.term_codes[level].tolist()}
+            for level in LEVELS
+        },
+        "provenance": {
+            "table": [[p.extractor, p.model, p.temperature] for p in store.provenances],
+            "codes": store.provenance_codes.tolist(),
+        },
+        "has_vector": store.has_vector.tolist(),
+    }).encode("ascii")
+    cache = sidecar_dir(path)
+    try:
+        cache.mkdir(exist_ok=True)
+        vectors = atomic_write(
+            cache / "vectors.npy", lambda fh: np.save(fh, store.matrix, allow_pickle=False)
+        )
+        meta_written = atomic_write(cache / "meta.json", lambda fh: fh.write(meta))
+        if vectors is None or meta_written is None:
+            raise OSError(f"{cache} holds a file that is not a regular file")
+        sums = f"{meta_written[1]}  meta.json\n{vectors[1]}  vectors.npy\n".encode("ascii")
+        atomic_write(cache / "SHA256SUMS", lambda fh: fh.write(sums))
+    except OSError as exc:
+        log.warning("could not write the sidecar of %s, the next load parses it again: %s",
+                    path, exc)
+
+
+def _read_sidecar(path: Path) -> "RepresentationStore":
+    """The store held by path's sidecar. Raises ValueError when the sidecar
+    does not provably match path: its format, the JSONL's size and sha256,
+    the digest of each sidecar file and every vector's norm are checked."""
+    cache = sidecar_dir(path)
+    sums = _SUMS.fullmatch((cache / "SHA256SUMS").read_bytes())
+    if sums is None:
+        raise ValueError("SHA256SUMS is malformed")
+    meta_bytes = (cache / "meta.json").read_bytes()
+    if hashlib.sha256(meta_bytes).hexdigest().encode() != sums[1]:
+        raise ValueError("meta.json does not match its digest")
+    meta = json.loads(meta_bytes)
+    if meta["format"] != SIDECAR_FORMAT:
+        raise ValueError(f"sidecar format {meta['format']!r}, not {SIDECAR_FORMAT}")
+    with path.open("rb") as fh:
+        if (os.fstat(fh.fileno()).st_size != meta["jsonl"]["size"]
+                or _file_sha256(fh) != meta["jsonl"]["sha256"]):
+            raise ValueError("the JSONL changed after the sidecar was written")
+
+    with (cache / "vectors.npy").open("rb") as fh:
+        matrix = np.load(fh, allow_pickle=False)
+        if matrix.dtype != np.float64 or matrix.ndim != 2 or not matrix.flags.c_contiguous:
+            raise ValueError("vectors.npy does not hold a float64 matrix")
+        if fh.read(1):
+            raise ValueError("vectors.npy has bytes after its matrix")
+        # the file is its header plus the matrix's bytes: hash those rather
+        # than read the file twice
+        header_len = fh.tell() - matrix.nbytes
+        fh.seek(0)
+        digest = hashlib.sha256(fh.read(header_len))
+    digest.update(matrix)
+    if digest.hexdigest().encode() != sums[2]:
+        raise ValueError("vectors.npy does not match its digest")
+
+    ids = meta["ids"]
+    has_vector = np.array(meta["has_vector"], dtype=bool)
+    if not len(ids) == len(has_vector) == len(matrix):
+        raise ValueError("the sidecar's columns differ in length")
+    norms = np.sqrt(np.vecdot(matrix, matrix))
+    if not np.all(np.where(has_vector, np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE, norms == 0.0)):
+        raise ValueError("a vector of the sidecar is not unit-norm")
+
+    def decoded(doc: dict, make) -> tuple[list, np.ndarray]:
+        return [make(entry) for entry in doc["table"]], np.array(doc["codes"], dtype=np.intp)
+
+    store = RepresentationStore.__new__(RepresentationStore)
+    store._lay_out(
+        ids,
+        meta["intent_texts"],
+        {level: decoded(meta["terms"][level], frozenset) for level in LEVELS},
+        decoded(meta["provenance"], lambda entry: Provenance(*entry)),
+        has_vector,
+        matrix,
+        matrix.shape[1] if has_vector.any() else None,
+    )
+    return store
+
+
+def _table(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values, in first-seen order, and each value's index
+    into them."""
+    index: dict = {}
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return list(index), np.array(codes, dtype=np.intp)
 
 
 class RepresentationStore(Mapping[str, SemanticRepresentation]):
@@ -557,50 +796,72 @@ class RepresentationStore(Mapping[str, SemanticRepresentation]):
     level that has the fewest distinct sets, then by id, so functions that
     share all three sets occupy consecutive rows. Per level, `codes[level]`
     gives each row's index into `sets[level]`, the level's distinct
-    case-folded sets. `matrix` holds one read-only float64 row per
-    function, and each stored representation's intent_vector is a view of
-    its row, so every vector exists once. A function without a vector has
-    a zero row and `has_vector` False; `dim` is None when no function has
-    a vector.
+    case-folded sets, and `term_codes[level]` its index into
+    `terms[level]`, the distinct sets as written. `matrix` holds one
+    read-only float64 row per function; a function without a vector has a
+    zero row and `has_vector` False, and `dim` is None when no function
+    has a vector. A representation is built on first access, its
+    intent_vector a view of its matrix row, and kept.
     """
 
     def __init__(self, reps: Mapping[str, SemanticRepresentation]):
-        ids = sorted(reps)
-        folded = {
-            level: [frozenset(t.casefold() for t in getattr(reps[fid], level)) for fid in ids]
-            for level in LEVELS
-        }
-        self.sets: dict[str, list[frozenset[str]]] = {}
-        codes: dict[str, np.ndarray] = {}
-        for level in LEVELS:
-            self.sets[level] = sorted(set(folded[level]), key=sorted)
-            code_of = {s: code for code, s in enumerate(self.sets[level])}
-            codes[level] = np.array([code_of[s] for s in folded[level]], dtype=np.intp)
-        # lexsort's last key is the most significant; it is stable, and ids
-        # are already ascending
-        by_size = sorted(LEVELS, key=lambda level: len(self.sets[level]))
-        order = np.lexsort([codes[level] for level in reversed(by_size)])
-        self.codes = {level: codes[level][order] for level in LEVELS}
-        self.row_ids = np.array(ids, dtype=object)[order]
-
-        vectors = [reps[fid].intent_vector for fid in self.row_ids]
+        ids = list(reps)
+        rows = [reps[fid] for fid in ids]
+        vectors = [rep.intent_vector for rep in rows]
         shapes = {np.shape(v) for v in vectors if v is not None}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise DimensionMismatchError(f"intent vectors differ in shape: {sorted(shapes)}")
-        self.dim: int | None = shapes.pop()[0] if shapes else None
-        self.has_vector = np.array([v is not None for v in vectors], dtype=bool)
-        self.matrix = np.zeros((len(ids), self.dim or 0))
-        for row in np.flatnonzero(self.has_vector):
-            self.matrix[row] = vectors[row]
+        self._lay_out(
+            ids,
+            [rep.intent_text for rep in rows],
+            {level: _table([getattr(rep, level) for rep in rows]) for level in LEVELS},
+            _table([rep.provenance for rep in rows]),
+            np.array([v is not None for v in vectors], dtype=bool),
+            vectors,
+            shapes.pop()[0] if shapes else None,
+        )
+
+    def _lay_out(self, ids, intent_texts, terms, provenance, has_vector, vectors, dim) -> None:
+        """Order the columns into the store's rows. The columns come in any
+        row order. Each level of terms, and provenance, is a pair: a table
+        of distinct values and one code per row. vectors[i] is row i's
+        vector, unused where has_vector[i] is False."""
+        n = len(ids)
+        self.sets: dict[str, list[frozenset[str]]] = {}
+        codes: dict[str, np.ndarray] = {}
+        for level in LEVELS:
+            table, table_codes = terms[level]
+            folded = [frozenset(t.casefold() for t in terms_) for terms_ in table]
+            self.sets[level] = sorted(set(folded), key=sorted)
+            code_of = {s: code for code, s in enumerate(self.sets[level])}
+            codes[level] = np.array([code_of[s] for s in folded], dtype=np.intp)[table_codes]
+        # lexsort's last key is the most significant, and it is stable
+        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+        by_size = sorted(LEVELS, key=lambda level: len(self.sets[level]))
+        order = by_id[np.lexsort([codes[level][by_id] for level in reversed(by_size)])]
+
+        self.codes = {level: codes[level][order] for level in LEVELS}
+        self.terms = {level: terms[level][0] for level in LEVELS}
+        self.term_codes = {level: terms[level][1][order] for level in LEVELS}
+        self.provenances = provenance[0]
+        self.provenance_codes = provenance[1][order]
+        self.row_ids = np.array(ids, dtype=object)[order]
+        self.intent_texts = [intent_texts[i] for i in order.tolist()]
+        self.has_vector = has_vector[order]
+        self.dim: int | None = dim
+        if isinstance(vectors, np.ndarray) and np.array_equal(order, np.arange(n)):
+            self.matrix = vectors
+        else:
+            self.matrix = np.zeros((n, dim or 0))
+            for row in np.flatnonzero(self.has_vector).tolist():
+                self.matrix[row] = vectors[order[row]]
         self.matrix.flags.writeable = False
 
-        self._row = {fid: row for row, fid in enumerate(self.row_ids)}
-        self._reps = {}
-        for fid in ids:
-            rep, row = reps[fid], self._row[fid]
-            if rep.intent_vector is not None:
-                rep = replace(rep, intent_vector=self.matrix[row])
-            self._reps[fid] = rep
+        self._row = {fid: row for row, fid in enumerate(self.row_ids.tolist())}
+        if len(self._row) != n:
+            raise ValidationError("a representation store holds each id once")
+        self._ids = [ids[i] for i in by_id.tolist()]
+        self._reps: dict[str, SemanticRepresentation] = {}
 
     @classmethod
     def of(cls, reps: Mapping[str, SemanticRepresentation]) -> "RepresentationStore":
@@ -608,13 +869,28 @@ class RepresentationStore(Mapping[str, SemanticRepresentation]):
         return reps if isinstance(reps, cls) else cls(reps)
 
     def __getitem__(self, fid: str) -> SemanticRepresentation:
-        return self._reps[fid]
+        rep = self._reps.get(fid)
+        if rep is None:
+            row = self._row[fid]
+            rep = self._reps[fid] = SemanticRepresentation(
+                subject_id=fid,
+                intent_text=self.intent_texts[row],
+                intent_vector=self.matrix[row] if self.has_vector[row] else None,
+                platforms=self.terms["platforms"][self.term_codes["platforms"][row]],
+                services=self.terms["services"][self.term_codes["services"][row]],
+                languages=self.terms["languages"][self.term_codes["languages"][row]],
+                provenance=self.provenances[self.provenance_codes[row]],
+            )
+        return rep
+
+    def __contains__(self, fid) -> bool:
+        return fid in self._row
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._reps)
+        return iter(self._ids)
 
     def __len__(self) -> int:
-        return len(self._reps)
+        return len(self._ids)
 
     def rows_of(self, ids: Iterable[str]) -> np.ndarray:
         """Ascending row numbers of the given ids; IntegrityError names an

@@ -12,7 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload, trace", [("query-20k", 1), ("evaluate-110q", 0)])
+@pytest.mark.parametrize("workload, trace",
+                         [("query-20k", 1), ("evaluate-110q", 0), ("extract-remote", 1)])
 def test_small_benchmark_run_passes_its_checks(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,

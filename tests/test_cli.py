@@ -1,10 +1,12 @@
 import json
+import shutil
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from slsrec.cli import main
+from slsrec.extraction import sidecar_dir
 
 from conftest import QUERY_TEXT, TARGET_ID, write_demo_corpus
 
@@ -169,6 +171,19 @@ def test_query_trace_is_byte_identical_across_runs(
     second = invoke(runner, *args)
     assert first.exit_code == second.exit_code == 0
     assert first.stdout_bytes == second.stdout_bytes
+
+
+@pytest.mark.parametrize("k", [3, 10, 50])
+def test_query_trace_is_byte_identical_from_jsonl_and_sidecar(
+    runner, golden_store_file, golden_query_fixture_file, k
+):
+    args = query_args(golden_store_file, golden_query_fixture_file, "--trace", "--k", k)
+    shutil.rmtree(sidecar_dir(golden_store_file))
+    parsed = invoke(runner, *args)  # parses the JSONL and writes the sidecar
+    assert (sidecar_dir(golden_store_file) / "SHA256SUMS").is_file()
+    cached = invoke(runner, *args)
+    assert parsed.exit_code == cached.exit_code == 0
+    assert parsed.stdout_bytes == cached.stdout_bytes
 
 
 def test_query_timing_adds_latency(runner, golden_store_file, golden_query_fixture_file):

@@ -217,3 +217,18 @@ def test_load_query_dataset_errors(tmp_path):
     bad.write_text('{"id": "q1"}\n')
     with pytest.raises(ConfigurationError, match="line 1"):
         load_query_dataset(bad)
+
+
+def test_load_query_dataset_rejects_repeated_id(tmp_path):
+    # rankings are kept by query id: a repeated id would score the first
+    # case against the second case's ranking
+    from slsrec.errors import ConfigurationError
+
+    path = tmp_path / "queries.jsonl"
+    path.write_text(
+        '{"id": "q1", "text": "find a tagger", "ground_truth_id": "fn-a"}\n'
+        '{"id": "q2", "text": "find a resizer", "ground_truth_id": "fn-b"}\n'
+        '{"id": "q1", "text": "find a mailer", "ground_truth_id": "fn-c"}\n'
+    )
+    with pytest.raises(ConfigurationError, match="lines 1 and 3 .*'q1'"):
+        load_query_dataset(path)

@@ -32,6 +32,7 @@ from slsrec.extraction import (
     save_representations,
     summarize_intent,
 )
+from slsrec.corpus import ingest_corpus
 from slsrec.evaluation import load_query_dataset
 from slsrec.normalization import NormalizationTable
 
@@ -360,6 +361,15 @@ def test_jsonl_readers_split_lines_on_newline_only(tmp_path, char):
     )
     assert load_query_dataset(dataset)[0].text == text
 
+    source = tmp_path / "handler.py"
+    source.write_text("def handler(event, context):\n" + "".join(
+        f"    step_{i} = event.get('k{i}')\n" for i in range(12)) + "    return step_0\n")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "s", "name": text, "origin": "t",
+                                    "paths": ["handler.py"]}, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+    assert ingest_corpus(manifest).repository.units["s"].name == text
+
 
 def _store_row(fid, **overrides):
     row = {"id": fid, "intent_text": "text", "intent_vector": [1.0, 0.0, 0.0],
@@ -387,6 +397,29 @@ def test_load_store_rejects_malformed_row(tmp_path, bad_row, match):
     path.write_text(_store_row("a") + "\n" + bad_row + "\n")
     with pytest.raises(ConfigurationError, match=f"line 2 is invalid: .*{match}"):
         load_representations(path)
+
+
+def test_jsonl_readers_reject_invalid_utf8(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b'\n{"id": "caf\xe9"}\n')
+    for read in (load_representations, FixtureExtractionProvider, load_query_dataset):
+        with pytest.raises(ConfigurationError, match="line 2 is not UTF-8"):
+            read(path)
+
+
+def test_load_store_rejects_repeated_id(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text("\n".join([_store_row("a"), _store_row("b"), "", _store_row("a")]) + "\n")
+    with pytest.raises(ConfigurationError, match="lines 1 and 4 both hold 'a'"):
+        load_representations(path)
+
+
+def test_save_store_rejects_repeated_id(tmp_path):
+    rep = SemanticRepresentation("a", "text", None, frozenset(), frozenset(), frozenset(),
+                                 Provenance("fixture", "fixture", 0.0))
+    with pytest.raises(ValidationError, match="two representations of 'a'"):
+        save_representations(tmp_path / "store.jsonl", [rep, rep])
+    assert not (tmp_path / "store.jsonl").exists()
 
 
 def test_load_store_missing_file(tmp_path):
