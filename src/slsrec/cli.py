@@ -16,7 +16,7 @@ import click
 
 from .baselines import METHODS, method_runner
 from .corpus import ingest_corpus, load, load_filter_config, save
-from .embedding import DeterministicEmbedder, RemoteEmbedder, embed_intent
+from .embedding import DeterministicEmbedder, RemoteEmbedder, embed_intent, embed_intents
 from .errors import (
     ConfigurationError,
     CorpusIOError,
@@ -33,13 +33,17 @@ from .extraction import (
     RemoteExtractionProvider,
     atomic_write,
     extract,
-    extract_all,
+    extract_completed,
     load_representations,
     save_representations,
 )
-from .gateway import GatewayClient, ProviderConfig
 from .matching import recommend
 from .normalization import NormalizationTable, load_table
+
+# texts per embedding request in `slsrec extract`. Each batch is sent from the
+# main thread while the pool keeps extracting, so a larger batch saves little
+# time but holds more memory while it is in flight
+EMBED_BATCH = 16
 
 _INPUT_ERRORS = (
     ConfigurationError,
@@ -102,14 +106,18 @@ def provider_options(func):
     return func
 
 
-def _provider_config(flags: dict) -> ProviderConfig:
-    return ProviderConfig(
+def _gateway_client(flags: dict):
+    # imported here: the gateway pulls in `requests`, which the offline
+    # providers never need
+    from .gateway import GatewayClient, ProviderConfig
+
+    return GatewayClient(ProviderConfig(
         base_url=flags["endpoint"],
         api_key_env=flags["api_key_env"],
         model_name=flags["model"],
         temperature=flags["temperature"],
         max_retries=flags["max_retries"],
-    )
+    ))
 
 
 def _build_extractor(flags: dict):
@@ -117,13 +125,13 @@ def _build_extractor(flags: dict):
         if not flags["fixture_file"]:
             raise ConfigurationError("--fixture-file is required with --extractor fixture")
         return FixtureExtractionProvider(flags["fixture_file"])
-    return RemoteExtractionProvider(GatewayClient(_provider_config(flags)))
+    return RemoteExtractionProvider(_gateway_client(flags))
 
 
 def _build_embedder(flags: dict):
     if flags["embedder_kind"] == "deterministic":
         return DeterministicEmbedder()
-    return RemoteEmbedder(GatewayClient(_provider_config(flags)))
+    return RemoteEmbedder(_gateway_client(flags))
 
 
 def _load_table(norm_table) -> NormalizationTable:
@@ -194,16 +202,31 @@ def cmd_extract(repo, reprs, concurrency, output, norm_table, **flags):
         or existing[fid].intent_vector is None
     ]
 
-    extracted, failures = extract_all(todo, provider, table, concurrency=concurrency)
-    embedded = {}
-    for fid, rep in extracted.items():
-        try:
-            embedded[fid] = rep.with_vector(embed_intent(rep.intent_text, embedder))
-        except EngineError as exc:
-            failures[fid] = exc
+    embedded, failures = {}, {}
+    pending = []
+
+    def embed_pending():
+        vectors = embed_intents([rep.intent_text for rep in pending], embedder)
+        for rep, vector in zip(pending, vectors):
+            if isinstance(vector, EngineError):
+                failures[rep.subject_id] = vector
+            else:
+                embedded[rep.subject_id] = rep.with_vector(vector)
+        pending.clear()
+
+    for fid, outcome in extract_completed(todo, provider, table, concurrency=concurrency):
+        if isinstance(outcome, Exception):
+            failures[fid] = outcome
+            continue
+        pending.append(outcome)
+        if len(pending) == EMBED_BATCH:
+            embed_pending()
+    if pending:
+        embed_pending()
 
     merged = {**existing, **embedded}
-    save_representations(reprs, merged.values())
+    if embedded:
+        save_representations(reprs, merged.values())
 
     for fid in sorted(failures):
         click.echo(f"failed {fid}: {failures[fid]}", err=True)

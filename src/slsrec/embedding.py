@@ -13,7 +13,13 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    EngineError,
+    IntegrityError,
+    ProviderPermanentError,
+    ValidationError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -27,6 +33,8 @@ class Embedder(Protocol):
     dim: int
 
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
 class DeterministicEmbedder:
@@ -74,6 +82,9 @@ class DeterministicEmbedder:
             acc += count * self._token_direction(token)
         return acc
 
+    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
+        return [self.embed(text) for text in texts]
+
 
 def _tokenize(text: str) -> dict[str, int]:
     counts: dict[str, int] = {}
@@ -101,8 +112,32 @@ class RemoteEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        [vector] = self.client.embed_texts([text])
-        return np.asarray(vector, dtype=float)
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
+        """One embed_texts call: a request per client batch of texts."""
+        return [np.asarray(v, dtype=float) for v in self.client.embed_texts(list(texts))]
+
+
+# a batch answer the provider got wrong; its texts are retried one by one
+_BAD_BATCH = (ProviderPermanentError, IntegrityError, DimensionMismatchError)
+
+
+def _check_text(intent_text: str) -> None:
+    if not intent_text or not intent_text.strip():
+        raise ValidationError("intent text must be non-empty")
+
+
+def _unit_vector(vector, dim: int) -> np.ndarray:
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (dim,):
+        raise DimensionMismatchError(
+            f"provider returned dimension {vector.shape}, expected ({dim},)"
+        )
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValidationError("provider returned a degenerate (zero/non-finite) vector")
+    return vector / norm
 
 
 def embed_intent(intent_text: str, embedder: Embedder) -> np.ndarray:
@@ -111,14 +146,47 @@ def embed_intent(intent_text: str, embedder: Embedder) -> np.ndarray:
     Raises ValidationError for empty text and DimensionMismatchError when
     the provider's vector does not match its configured dimension.
     """
-    if not intent_text or not intent_text.strip():
-        raise ValidationError("intent text must be non-empty")
-    vector = np.asarray(embedder.embed(intent_text), dtype=float)
-    if vector.shape != (embedder.dim,):
-        raise DimensionMismatchError(
-            f"provider returned dimension {vector.shape}, expected ({embedder.dim},)"
-        )
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValidationError("provider returned a degenerate (zero/non-finite) vector")
-    return vector / norm
+    _check_text(intent_text)
+    return _unit_vector(embedder.embed(intent_text), embedder.dim)
+
+
+def embed_intents(
+    intent_texts: list[str], embedder: Embedder
+) -> list[np.ndarray | EngineError]:
+    """embed_intent for many texts through one embed_many call.
+
+    Returns one result per text, in order: its unit vector, bit-identical
+    to embed_intent's, or the EngineError for that text. An empty text
+    fails in its own slot and is not sent. When the batch answer is bad
+    (a permanent rejection, a wrong vector count or dimension), each text
+    is retried alone, so only the text at fault fails; any other error,
+    such as retries exhausted on transport failures, fails every text.
+    """
+    results: list[np.ndarray | EngineError] = [None] * len(intent_texts)
+    sent: list[int] = []
+    for i, text in enumerate(intent_texts):
+        try:
+            _check_text(text)
+        except ValidationError as exc:
+            results[i] = exc
+        else:
+            sent.append(i)
+    if not sent:
+        return results
+    try:
+        vectors = embedder.embed_many([intent_texts[i] for i in sent])
+    except _BAD_BATCH:
+        vectors = [None] * len(sent)
+    except EngineError as exc:
+        for i in sent:
+            results[i] = exc
+        return results
+    for i, vector in zip(sent, vectors, strict=True):
+        try:
+            if vector is None:
+                results[i] = embed_intent(intent_texts[i], embedder)
+            else:
+                results[i] = _unit_vector(vector, embedder.dim)
+        except EngineError as exc:
+            results[i] = exc
+    return results

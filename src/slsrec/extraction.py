@@ -14,7 +14,7 @@ import os
 import re
 import secrets
 import stat
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Protocol
@@ -423,6 +423,36 @@ def summarize_intent(
     return summary
 
 
+def extract_completed(
+    subjects: list[tuple[str, str]],
+    provider: ExtractionProvider,
+    table: NormalizationTable,
+    prompt_cfg: PromptConfig = DEFAULT_PROMPT,
+    concurrency: int = 4,
+) -> Iterator[tuple[str, SemanticRepresentation | Exception]]:
+    """Extract many subjects with bounded concurrency, yielding
+    (subject id, representation or the exception it raised) as each
+    finishes; a failure on one subject never aborts the rest.
+    """
+
+    def run(pair: tuple[str, str]) -> SemanticRepresentation:
+        subject_id, text = pair
+        return extract(subject_id, text, provider, table, prompt_cfg)
+
+    pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
+    try:
+        futures = {pool.submit(run, pair): pair[0] for pair in subjects}
+        for future in as_completed(futures):
+            try:
+                outcome = future.result()
+            except Exception as exc:  # collected, reported by the caller
+                outcome = exc
+            yield futures[future], outcome
+    finally:
+        # a consumer that stops early does not wait for the queued subjects
+        pool.shutdown(cancel_futures=True)
+
+
 def extract_all(
     subjects: list[tuple[str, str]],
     provider: ExtractionProvider,
@@ -437,19 +467,13 @@ def extract_all(
     """
     results: dict[str, SemanticRepresentation] = {}
     failures: dict[str, Exception] = {}
-
-    def run(pair: tuple[str, str]):
-        subject_id, text = pair
-        return subject_id, extract(subject_id, text, provider, table, prompt_cfg)
-
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        futures = {pool.submit(run, pair): pair[0] for pair in subjects}
-        for future, subject_id in futures.items():
-            try:
-                _sid, rep = future.result()
-                results[subject_id] = rep
-            except Exception as exc:  # collected, reported by the caller
-                failures[subject_id] = exc
+    for subject_id, outcome in extract_completed(
+        subjects, provider, table, prompt_cfg, concurrency
+    ):
+        if isinstance(outcome, Exception):
+            failures[subject_id] = outcome
+        else:
+            results[subject_id] = outcome
     return results, failures
 
 
@@ -476,10 +500,12 @@ def jsonl_lines(path: Path, digest=None) -> Iterator[tuple[int, str]]:
 
 
 def _file_sha256(fh: BinaryIO) -> str:
-    """The sha256 of what is left to read of fh, read in 1 MiB chunks
-    (hashlib.file_digest needs Python 3.11)."""
+    """The sha256 of what is left to read of fh, read in 64 KiB chunks
+    (hashlib.file_digest needs Python 3.11). A chunk stays below glibc's
+    128 KiB mmap threshold: freeing a larger one raises that threshold,
+    and with it the free heap memory the process keeps resident."""
     digest = hashlib.sha256()
-    for chunk in iter(lambda: fh.read(1 << 20), b""):
+    for chunk in iter(lambda: fh.read(1 << 16), b""):
         digest.update(chunk)
     return digest.hexdigest()
 

@@ -57,13 +57,11 @@ class Telemetry:
         self._lock = threading.Lock()
         self.requests_sent = 0
         self.retries_total = 0
-        self.last_call_retries = 0
 
     def record(self, attempts: int):
         with self._lock:
             self.requests_sent += attempts
             self.retries_total += attempts - 1
-            self.last_call_retries = attempts - 1
 
 
 def backoff_delays(base_s: float, cap_s: float, max_retries: int) -> list[float]:

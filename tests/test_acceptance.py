@@ -476,7 +476,7 @@ def test_criterion_10_gateway_contract(monkeypatch):
         server.script = [{"status": 429}, {"status": 429}]
         client, sleeps = client_for(server.base_url)
         assert client.chat_complete("p") == "ok"
-        assert client.telemetry.last_call_retries == 2
+        assert client.telemetry.retries_total == 2
         assert sleeps == sorted(sleeps) and len(sleeps) == 2
 
     # error taxonomy
@@ -496,7 +496,7 @@ def test_criterion_10_gateway_contract(monkeypatch):
         server.script = [{"delay_s": 0.5}]
         client, _ = client_for(server.base_url, timeout_s=0.05)
         assert client.chat_complete("p") == "ok"
-        assert client.telemetry.last_call_retries == 1
+        assert client.telemetry.retries_total == 1
 
     # bounded in-flight under 50 concurrent submissions
     with StubServer(handler_delay_s=0.01) as server:

@@ -1,14 +1,29 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from slsrec.cli import main
-from slsrec.extraction import sidecar_dir
+import slsrec
+from slsrec.cli import EMBED_BATCH, main
+from slsrec.corpus import FunctionUnit, Repository, save
+from slsrec.embedding import RemoteEmbedder, embed_intent
+from slsrec.extraction import (
+    FixtureExtractionProvider,
+    extract,
+    save_representations,
+    sidecar_dir,
+)
+from slsrec.gateway import GatewayClient, ProviderConfig
+from slsrec.normalization import NormalizationTable
 
 from conftest import QUERY_TEXT, TARGET_ID, write_demo_corpus
+from stubserver import StubServer
 
 
 @pytest.fixture
@@ -120,6 +135,149 @@ def test_json_mode_keeps_stdout_pure(runner, ingested_repo, tmp_path, monkeypatc
     doc = json.loads(result.stdout)  # stdout is exactly one JSON document
     assert doc["failed"] == 3
     assert "failed demo-" in result.stderr
+
+
+def _file_ids(store):
+    paths = [store, *sorted(sidecar_dir(store).iterdir())]
+    return {str(p): (p.stat().st_ino, p.stat().st_mtime_ns) for p in paths}
+
+
+def test_noop_extract_writes_nothing(runner, ingested_repo, demo_fixture_file, tmp_path):
+    store = tmp_path / "reprs.jsonl"
+    invoke(runner, *extract_args(ingested_repo, store, demo_fixture_file))
+    before = _file_ids(store)
+    assert len(before) == 4  # the store, vectors.npy, meta.json, SHA256SUMS
+    result = invoke(runner, *extract_args(ingested_repo, store, demo_fixture_file))
+    assert "extracted=0 skipped=3 failed=0" in result.output
+    assert _file_ids(store) == before
+
+
+# ---------------------------------------------------------------------------
+# extract: batched embedding against a remote provider
+# ---------------------------------------------------------------------------
+
+DIM = 384
+
+
+@pytest.fixture
+def batch_setup(tmp_path, monkeypatch):
+    """Write a repository of n units and a fixture file answering them;
+    returns (repo path, fixture path, units)."""
+    monkeypatch.setenv("SLSREC_API_KEY", "k")
+
+    def build(n):
+        units = {
+            f"fn-{i:03d}": FunctionUnit(
+                id=f"fn-{i:03d}", name=f"unit {i}", origin="test",
+                files=(("handler.py", f"def handler(event, context):\n    return {i}\n"),),
+            )
+            for i in range(n)
+        }
+        repo = tmp_path / "repo.json"
+        save(Repository(units=units, version=1), repo)
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text("".join(
+            json.dumps({"id": fid, "intent_text": f"intent of {fid} " + "x" * i,
+                        "platforms": ["AWS Lambda"], "services": [], "languages": ["Python"]})
+            + "\n"
+            for i, fid in enumerate(units)
+        ), encoding="utf-8")
+        return repo, fixtures, units
+
+    return build
+
+
+def remote_extract(runner, repo, store, fixtures, server):
+    return invoke(
+        runner, "extract", "--repo", repo, "--reprs", store,
+        "--extractor", "fixture", "--fixture-file", fixtures,
+        "--embedder", "remote", "--endpoint", server.base_url, "--max-retries", 0,
+    )
+
+
+def per_text_store(path, units, fixtures, server):
+    """The store built with one embed_intent call (one request) per text."""
+    provider = FixtureExtractionProvider(fixtures)
+    embedder = RemoteEmbedder(GatewayClient(ProviderConfig(base_url=server.base_url)))
+    reps = []
+    for fid, unit in units.items():
+        rep = extract(fid, unit.code_text(), provider, NormalizationTable())
+        reps.append(rep.with_vector(embed_intent(rep.intent_text, embedder)))
+    save_representations(path, reps)
+    return path.read_bytes()
+
+
+def embed_inputs(server):
+    return [len(payload["input"]) for path, payload in server.requests
+            if path.endswith("/embeddings")]
+
+
+def test_extract_sends_one_embedding_request_per_batch(runner, batch_setup, tmp_path):
+    repo, fixtures, units = batch_setup(40)
+    store = tmp_path / "reprs.jsonl"
+    with StubServer(embed_dim=DIM) as server:
+        result = remote_extract(runner, repo, store, fixtures, server)
+        assert result.exit_code == 0, result.output
+        assert "extracted=40 skipped=0 failed=0" in result.output
+        assert EMBED_BATCH == 16 and embed_inputs(server) == [16, 16, 8]
+        expected = per_text_store(tmp_path / "expected.jsonl", units, fixtures, server)
+        assert embed_inputs(server)[3:] == [1] * 40
+    assert store.read_bytes() == expected
+
+
+class ZeroVectorFor(StubServer):
+    def __init__(self, text):
+        super().__init__(embed_dim=DIM)
+        self.text = text
+
+    def vector_for(self, text):
+        return [0.0] * DIM if text == self.text else super().vector_for(text)
+
+
+def test_extract_zero_vector_fails_only_its_unit(runner, batch_setup, tmp_path):
+    repo, fixtures, units = batch_setup(20)
+    store = tmp_path / "reprs.jsonl"
+    with ZeroVectorFor("intent of fn-007 " + "x" * 7) as server:
+        result = remote_extract(runner, repo, store, fixtures, server)
+        assert embed_inputs(server) == [16, 4]
+    assert result.exit_code == 1
+    assert "extracted=19 skipped=0 failed=1" in result.output
+    assert "failed fn-007: provider returned a degenerate" in result.output
+    rows = [json.loads(line)["id"] for line in store.read_text().splitlines()]
+    assert rows == sorted(set(units) - {"fn-007"})
+
+
+def test_extract_short_batch_answer_falls_back_to_one_text_per_request(
+    runner, batch_setup, tmp_path
+):
+    repo, fixtures, units = batch_setup(10)
+    store = tmp_path / "reprs.jsonl"
+    with StubServer(embed_dim=DIM) as server:
+        server.script = [{"body": {"data": [{"embedding": [1.0] * DIM}] * 9}}]
+        result = remote_extract(runner, repo, store, fixtures, server)
+        assert result.exit_code == 0, result.output
+        assert "extracted=10 skipped=0 failed=0" in result.output
+        assert embed_inputs(server) == [10] + [1] * 10
+        expected = per_text_store(tmp_path / "expected.jsonl", units, fixtures, server)
+    assert store.read_bytes() == expected
+
+
+def test_offline_providers_do_not_import_requests(golden_store_file, golden_query_fixture_file):
+    script = (
+        "import sys\n"
+        "import slsrec.cli\n"
+        "imported = 'requests' in sys.modules\n"
+        "slsrec.cli.main.main(args=sys.argv[1:], standalone_mode=False)\n"
+        "print(imported, 'requests' in sys.modules)\n"
+    )
+    src = str(Path(slsrec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [str(a) for a in query_args(golden_store_file, golden_query_fixture_file)]
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, check=True)
+    assert TARGET_ID in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slsrec.embedding import DeterministicEmbedder, embed_intent
-from slsrec.errors import DimensionMismatchError, ValidationError
+from slsrec.embedding import DeterministicEmbedder, embed_intent, embed_intents
+from slsrec.errors import (
+    DimensionMismatchError,
+    EngineError,
+    IntegrityError,
+    ProviderExhaustedError,
+    ProviderPermanentError,
+    ValidationError,
+)
 from slsrec.matching import cosine_similarity
 
 
@@ -103,3 +112,79 @@ def test_token_order_does_not_matter_but_counts_do():
     c = embed_intent("alpha alpha beta", embedder)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# embed_intents: the batch path
+# ---------------------------------------------------------------------------
+
+def _one_by_one(texts, embedder):
+    outcomes = []
+    for text in texts:
+        try:
+            outcomes.append(embed_intent(text, embedder))
+        except EngineError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=30), st.sampled_from(["", " ", "\t\n "])),
+                max_size=12))
+def test_embed_intents_equals_embed_intent_per_text(texts):
+    embedder = DeterministicEmbedder(dim=32)
+    batch = embed_intents(texts, embedder)
+    assert len(batch) == len(texts)
+    for text, got, want in zip(texts, batch, _one_by_one(texts, embedder)):
+        if not text.strip():
+            assert isinstance(got, ValidationError)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is type(want) and str(got) == str(want)
+
+
+class BatchFails:
+    """Answers one text at a time; every batch call raises `error`."""
+
+    name = "batch-fails"
+    dim = 4
+
+    def __init__(self, error):
+        self.error = error
+        self.calls = []
+
+    def embed(self, text):
+        self.calls.append([text])
+        return np.full(4, float(len(text)))
+
+    def embed_many(self, texts):
+        self.calls.append(list(texts))
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [
+    ProviderPermanentError("HTTP 400"),
+    IntegrityError("provider returned 2 vectors for 3 inputs"),
+    DimensionMismatchError("provider returned dimension (5,)"),
+])
+def test_bad_batch_answer_is_retried_one_text_at_a_time(error):
+    embedder = BatchFails(error)
+    vectors = embed_intents(["a", "bb", "ccc"], embedder)
+    assert embedder.calls == [["a", "bb", "ccc"], ["a"], ["bb"], ["ccc"]]
+    for text, vector in zip(["a", "bb", "ccc"], vectors):
+        assert vector.tobytes() == embed_intent(text, embedder).tobytes()
+
+
+def test_exhausted_retries_fail_the_whole_batch_without_retrying():
+    error = ProviderExhaustedError("HTTP 503", 3)
+    embedder = BatchFails(error)
+    assert embed_intents(["a", "", "ccc"], embedder)[::2] == [error, error]
+    assert embedder.calls == [["a", "ccc"]]
+
+
+def test_empty_texts_are_not_sent():
+    embedder = BatchFails(AssertionError("nothing may be sent"))
+    outcomes = embed_intents(["", "  "], embedder)
+    assert all(isinstance(o, ValidationError) for o in outcomes)
+    assert embedder.calls == []

@@ -85,7 +85,7 @@ def test_retry_on_429_then_success():
         server.script = [{"status": 429}, {"status": 429}]
         client, sleeps = make_client(server.base_url)
         assert client.chat_complete("p") == "ok"
-        assert client.telemetry.last_call_retries == 2
+        assert client.telemetry.retries_total == 2
         assert len(server.requests) == 3
         assert sleeps == sorted(sleeps), "backoff must be non-decreasing"
 
@@ -114,7 +114,7 @@ def test_timeout_is_retryable():
         server.script = [{"delay_s": 0.5}]
         client, _ = make_client(server.base_url, timeout_s=0.05)
         assert client.chat_complete("p") == "ok"
-        assert client.telemetry.last_call_retries == 1
+        assert client.telemetry.retries_total == 1
 
 
 def test_connection_refused_is_retryable_then_exhausted():
